@@ -3,7 +3,10 @@
 Reports go to stdout as canonical JSON with every number rendered as an
 exact rational string, so output is deterministic byte-for-byte and
 re-verification never passes through floating point.  Exit codes: 0 on
-success, 1 on obstruction or failed verification, 2 on usage errors.
+success, 1 on obstruction or failed verification, 2 only on a usage error
+or a malformed or missing input file.  solve and diagnose always decide:
+the right Euclidean algorithm either proves a solution exists, which solve
+then constructs, or names the common zeros.
 """
 
 from __future__ import annotations
@@ -19,10 +22,9 @@ from .corona import (
     CommonZeroObstruction,
     CoronaInstance,
     DiagnosisReport,
-    SolverConfig,
+    decide,
     diagnose_common_zero,
     solve_corona,
-    validate,
     verify_identity,
 )
 from .cpoly import CPoly
@@ -36,7 +38,7 @@ from .formats import (
 )
 from .generate import sample_slice_points
 from .hpoly import HPoly, classify_zeros
-from .polymatrix import MinorBudgetExceeded, rank_at
+from .polymatrix import rank_at
 from .scalars import GaussRat, Quat
 from .syzygy import build_koszul, check_three_term, kernel_dimension_at, natural_syzygy
 
@@ -268,20 +270,21 @@ def _diagnosis_json(inst: CoronaInstance, report: DiagnosisReport) -> dict:
     }
 
 
+def _obstruction_json(command: str, inst: CoronaInstance, obstruction: CommonZeroObstruction) -> dict:
+    return {
+        "command": command,
+        "status": "obstruction",
+        "gcd": cpoly_json(obstruction.gcd),
+        "gcd_text": str(obstruction.gcd),
+        "diagnosis": _diagnosis_json(inst, diagnose_common_zero(inst, obstruction)),
+    }
+
+
 def cmd_solve(args) -> int:
     inst = _load_instance(args.instance)
-    config = SolverConfig(minor_budget=args.minor_budget)
-    result = solve_corona(inst, config)
+    result = solve_corona(inst)
     if isinstance(result, CommonZeroObstruction):
-        diagnosis = diagnose_common_zero(inst, result)
-        emit({
-            "command": "solve",
-            "status": "obstruction",
-            "minors_examined": result.minors_examined,
-            "gcd": cpoly_json(result.gcd),
-            "gcd_text": str(result.gcd),
-            "diagnosis": _diagnosis_json(inst, diagnosis),
-        })
+        emit(_obstruction_json("solve", inst, result))
         return 1
     out_path = args.output or os.path.splitext(args.instance)[0] + ".sol"
     with open(out_path, "w", encoding="utf-8") as fh:
@@ -296,16 +299,8 @@ def cmd_solve(args) -> int:
         "minors_examined": result.certificate.minors_examined,
     }
     if args.trace:
-        tr = result.trace
         report["trace"] = {
-            "splits": [
-                {"name": name, "F": cpoly_json(s.F), "G": cpoly_json(s.G)}
-                for name, s in zip(inst.names, tr.splits)
-            ],
-            "particular": [cpoly_json(c) for c in tr.particular],
-            "alpha": [cpoly_json(c) for c in tr.alpha],
-            "beta": [cpoly_json(c) for c in tr.beta],
-            "corrected": [cpoly_json(c) for c in tr.corrected],
+            "euclid_remainders": [hpoly_json(r) for r in result.trace.remainders],
         }
     emit(report)
     return 0
@@ -335,23 +330,11 @@ def cmd_verify(args) -> int:
 
 def cmd_diagnose(args) -> int:
     inst = _load_instance(args.instance)
-    config = SolverConfig(minor_budget=args.minor_budget)
-    outcome = validate(inst, config)
-    if not isinstance(outcome, CommonZeroObstruction):
-        emit({
-            "command": "diagnose",
-            "status": "no_obstruction",
-            "certificate_minors": len(outcome.minors),
-        })
+    result = decide(inst)
+    if not isinstance(result, CommonZeroObstruction):
+        emit({"command": "diagnose", "status": "no_obstruction"})
         return 0
-    report = diagnose_common_zero(inst, outcome)
-    emit({
-        "command": "diagnose",
-        "status": "obstruction",
-        "gcd": cpoly_json(outcome.gcd),
-        "gcd_text": str(outcome.gcd),
-        "diagnosis": _diagnosis_json(inst, report),
-    })
+    emit(_obstruction_json("diagnose", inst, result))
     return 1
 
 
@@ -396,14 +379,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("solve", cmd_solve, "solve sum f_l * h_l = 1 and write a solution file")
     p.add_argument("--output", "-o", default=None, help="solution file path")
-    p.add_argument("--minor-budget", type=int, default=2000, metavar="M")
-    p.add_argument("--trace", action="store_true", help="include intermediate data")
+    p.add_argument("--trace", action="store_true", help="include the Euclid remainders")
 
     p = add("verify", cmd_verify, "re-check a solution file against an instance")
     p.add_argument("solution", help="solution file")
 
-    p = add("diagnose", cmd_diagnose, "explain why an instance is obstructed")
-    p.add_argument("--minor-budget", type=int, default=2000, metavar="M")
+    add("diagnose", cmd_diagnose, "explain why an instance is obstructed")
 
     return parser
 
@@ -418,9 +399,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except MinorBudgetExceeded as exc:
-        print(f"error: undecided within minor budget: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,28 +1,36 @@
 """Constructive solution of f1*h1 + ... + fn*hn = 1.
 
-Pipeline: split the inputs onto the fixed slice, certify that the stacked
-Koszul matrix (A, -B) has full rank everywhere via the minor-gcd
-certificate, solve the first split equation with a Bezout combination,
-correct it through the (A, -B) system so the second equation holds too,
-reassemble, extend off the slice, and re-verify the identity by exact
-coefficient equality.  Validation is certificate-based on purpose: slice
-coprimality of the splits alone misses common zeros that sit off the slice
-plane, while the certificate is sound and complete.
+The extended right Euclidean algorithm in H[q] (hpoly.right_bezout)
+decides.  It returns the monic generator g of the right ideal of the
+family.  When g != 1 no solution exists: g left-divides every f_l and lies
+in their right ideal, so its zeros are exactly the family's common zeros,
+and they are named from its symmetrization.
+
+When g = 1 the paper's construction solves (koszul_solve): split the
+inputs onto the fixed slice, certify that the stacked Koszul matrix
+(A, -B) has full rank everywhere via the minor-gcd certificate, solve the
+first split equation with a Bezout combination, correct it through the
+(A, -B) system so the second equation holds too, reassemble, extend off
+the slice and re-verify the identity by exact coefficient equality.  The
+Euclid decision guarantees the certificate exists, so the enumeration
+runs without a budget; a Koszul obstruction after it is an internal error.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Union
 
 from .cpoly import CPoly, bezout_multi
 from .hpoly import (
     HP_ONE,
     HPoly,
+    RightBezout,
     Sphere,
     SphereZero,
     SplitPair,
     real_poly_sphere_factors,
+    right_bezout,
     zeros_on_sphere,
 )
 from .polymatrix import (
@@ -39,17 +47,6 @@ from .syzygy import (
     hat_swap,
     interleave_splits,
 )
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Tunables for validation and reporting."""
-
-    minor_budget: int = 2000
-    sample_points: int = 20
-
-
-DEFAULT_CONFIG = SolverConfig()
 
 
 @dataclass(frozen=True)
@@ -86,14 +83,16 @@ class CoronaInstance:
 
 @dataclass(frozen=True)
 class CommonZeroObstruction:
-    """Nonconstant gcd of the maximal minors of (A, -B).
+    """The family generates a proper right ideal, so the unit is out of reach.
 
-    Its roots are the slice points over whose spheres the family has a
-    common zero, so the unit cannot be generated.
+    generator is the monic generator g of that ideal; its zeros are exactly
+    the common zeros of the family.  gcd is the monic real slice polynomial
+    of g's symmetrization, whose roots are the slice points of the spheres
+    carrying those zeros.
     """
 
     gcd: CPoly
-    minors_examined: int
+    generator: HPoly
 
 
 class InternalCheckError(RuntimeError):
@@ -102,45 +101,53 @@ class InternalCheckError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolveTrace:
-    """Intermediate data of one solver run, kept for inspection."""
+    """The Euclid remainder sequence of one solver run, kept for inspection."""
 
-    splits: tuple[SplitPair, ...]
-    particular: tuple[CPoly, ...]
-    alpha: tuple[CPoly, ...]
-    beta: tuple[CPoly, ...]
-    corrected: tuple[CPoly, ...]
+    remainders: tuple[HPoly, ...]
 
 
 @dataclass(frozen=True)
 class CoronaSolution:
+    """The h_l, with the minor certificate they were solved under (may be empty)."""
+
     hs: tuple[HPoly, ...]
     certificate: FullRankCertificate
-    trace: SolveTrace
+    trace: Optional[SolveTrace]
 
     def h_degrees(self) -> tuple[int, ...]:
         return tuple(h.degree for h in self.hs)
 
 
-def validate(
-    inst: CoronaInstance, config: SolverConfig = DEFAULT_CONFIG
-) -> Union[FullRankCertificate, CommonZeroObstruction]:
-    """Certify no-common-zeros, or return the obstruction gcd.
+def verify_identity(fs: Sequence[HPoly], hs: Sequence[HPoly]) -> bool:
+    """Exact check that sum f_l * h_l equals the constant one."""
+    acc = HPoly()
+    for f, h in zip(fs, hs):
+        acc = acc + f * h
+    return acc == HP_ONE
 
-    A found certificate implies the stacked matrix has full rank at every
-    point, which rules out common zeros; conversely a common zero forces
-    every maximal minor to vanish at the matching slice point, so the
-    accumulated gcd stays nonconstant.
-    """
+
+def decide(inst: CoronaInstance) -> Union[RightBezout, CommonZeroObstruction]:
+    """Right Euclid: its Bezout data when the family generates the unit, else the obstruction."""
     inst.check_not_all_zero()
-    pair = build_koszul(inst.fs)
-    outcome = minor_gcd_certificate(
-        pair.combined(),
-        budget=config.minor_budget,
-        column_order=certificate_column_order(pair),
-    )
+    euclid = right_bezout(inst.fs)
+    if euclid.gcd != HP_ONE:
+        return CommonZeroObstruction(euclid.gcd.symmetrize().split().F, euclid.gcd)
+    return euclid
+
+
+def solve_corona(inst: CoronaInstance) -> Union[CoronaSolution, CommonZeroObstruction]:
+    """Decide by right Euclid, solve by the Koszul construction; solutions are re-verified."""
+    decision = decide(inst)
+    if isinstance(decision, CommonZeroObstruction):
+        return decision
+    outcome = koszul_solve(inst)
     if isinstance(outcome, RankObstruction):
-        return CommonZeroObstruction(outcome.gcd, outcome.minors_examined)
-    return outcome
+        raise InternalCheckError("Koszul minors share a zero the Euclid generator rules out")
+    return replace(outcome, trace=SolveTrace(decision.remainders))
+
+
+# ---------------------------------------------------------------------------
+# The paper's Koszul construction
 
 
 def particular_solution(splits: Sequence[SplitPair]) -> list[CPoly]:
@@ -163,7 +170,7 @@ def correct_and_assemble(
     u: Sequence[CPoly],
     pair: SyzygyPair,
     cert: FullRankCertificate,
-) -> tuple[list[HPoly], SolveTrace]:
+) -> list[HPoly]:
     """Fix up a first-equation solution so both split equations hold.
 
     Solving (A, -B) (alpha; beta) = hat_swap(u) and adding A*hat(beta) to u
@@ -173,8 +180,7 @@ def correct_and_assemble(
     """
     h_rhs = hat_swap(u)
     x = solve_full_rank(pair.combined(), h_rhs, cert)
-    k = pair.A.cols
-    alpha, beta = x[:k], x[k:]
+    beta = x[pair.A.cols:]
     correction = pair.A.mul_vector([b.hat() for b in beta])
     v = [ui + ci for ui, ci in zip(u, correction)]
 
@@ -189,36 +195,31 @@ def correct_and_assemble(
         h_comp = v[2 * ell]
         k_comp = (-v[2 * ell + 1]).hat()
         hs.append(SplitPair(h_comp, k_comp).extend())
-    trace = SolveTrace(tuple(splits), tuple(u), tuple(alpha), tuple(beta), tuple(v))
-    return hs, trace
+    return hs
 
 
-def verify_identity(fs: Sequence[HPoly], hs: Sequence[HPoly]) -> bool:
-    """Exact check that sum f_l * h_l equals the constant one."""
-    acc = HPoly()
-    for f, h in zip(fs, hs):
-        acc = acc + f * h
-    return acc == HP_ONE
+def koszul_solve(inst: CoronaInstance) -> Union[CoronaSolution, RankObstruction]:
+    """The paper's split/Koszul construction; every returned solution is re-verified.
 
-
-def solve_corona(
-    inst: CoronaInstance, config: SolverConfig = DEFAULT_CONFIG
-) -> Union[CoronaSolution, CommonZeroObstruction]:
-    """Full pipeline; every returned solution is re-verified exactly."""
+    A found certificate proves the stacked matrix has full rank at every
+    point, which rules out common zeros; a common zero forces every maximal
+    minor to vanish at the matching slice point, so the obstruction gcd
+    stays nonconstant.  The minors are enumerated without a budget.
+    """
     inst.check_not_all_zero()
     pair = build_koszul(inst.fs)
     outcome = minor_gcd_certificate(
         pair.combined(),
-        budget=config.minor_budget,
+        budget=None,
         column_order=certificate_column_order(pair),
     )
     if isinstance(outcome, RankObstruction):
-        return CommonZeroObstruction(outcome.gcd, outcome.minors_examined)
+        return outcome
     u = particular_solution(pair.splits)
-    hs, trace = correct_and_assemble(pair.splits, u, pair, outcome)
+    hs = correct_and_assemble(pair.splits, u, pair, outcome)
     if not verify_identity(inst.fs, hs):
         raise InternalCheckError("assembled solution failed the star identity")
-    return CoronaSolution(tuple(hs), outcome, trace)
+    return CoronaSolution(tuple(hs), outcome, None)
 
 
 # ---------------------------------------------------------------------------
@@ -249,24 +250,15 @@ def diagnose_common_zero(
 ) -> DiagnosisReport:
     """Name the common zeros behind an obstruction when the data is rational.
 
-    The obstruction gcd lives over the Gaussian rationals; multiplying by
-    its hat gives a real polynomial with the same spheres, whose rational
-    sphere factors are extracted exactly.  Each such sphere is then resolved
-    against every input polynomial.  Factors without rational sphere data
-    are reported unresolved instead of being approximated.
+    The obstruction gcd is a real polynomial whose roots are the slice
+    points of the obstructing spheres; its rational sphere factors are
+    extracted exactly.  Each such sphere is then resolved against every
+    input polynomial.  Factors without rational sphere data are reported
+    unresolved instead of being approximated.
     """
-    gcd = obstruction.gcd
-    if gcd.is_zero():
-        return DiagnosisReport((), CPoly())
-    norm = (gcd * gcd.hat()).monic()
-    spheres, unresolved = real_poly_sphere_factors(norm)
-    seen = set()
+    spheres, unresolved = real_poly_sphere_factors(obstruction.gcd)
     entries = []
     for sphere, _ in spheres:
-        key = (sphere.x, sphere.y_squared)
-        if key in seen:
-            continue
-        seen.add(key)
         per_poly = tuple(zeros_on_sphere(f, sphere) for f in inst.fs)
         whole = all(res.kind == "spherical" for res in per_poly)
         common: tuple[Quat, ...] = ()

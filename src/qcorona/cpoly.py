@@ -4,11 +4,16 @@ These are the slice-plane components of quaternionic polynomials.  The ring
 is a Euclidean domain, so gcds and Bezout witnesses exist and are computed
 exactly; every remainder is normalized to monic form to keep coefficient
 growth in check.
+
+Products and divisions run on Gaussian-integer numerators over one common
+denominator per polynomial, so the inner loops do plain integer arithmetic
+and each result coefficient is reduced to lowest terms once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
 from .scalars import GR_ONE, GR_ZERO, GaussRat, RatLike
@@ -22,10 +27,14 @@ def _coeff(value: CoeffLike) -> GaussRat:
     return GaussRat(value)
 
 
+def _unscaled(d: int, re: Sequence[int], im: Sequence[int]) -> list[GaussRat]:
+    return [GaussRat(Fraction(x, d), Fraction(y, d)) for x, y in zip(re, im)]
+
+
 class CPoly:
     """Polynomial in one variable z, coefficients ascending, no trailing zeros."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_ints")
 
     def __init__(self, coeffs: Iterable[CoeffLike] = ()):
         cs = [_coeff(c) for c in coeffs]
@@ -35,6 +44,18 @@ class CPoly:
 
     def __setattr__(self, name, value):
         raise AttributeError("CPoly is immutable")
+
+    def _scaled(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+        """(d, re, im) with coeffs[m] = (re[m] + im[m]*i) / d, d > 0; computed once."""
+        try:
+            return self._ints
+        except AttributeError:
+            cs = self.coeffs
+            d = lcm(*(x.denominator for c in cs for x in (c.re, c.im)))
+            re = tuple(c.re.numerator * (d // c.re.denominator) for c in cs)
+            im = tuple(c.im.numerator * (d // c.im.denominator) for c in cs)
+            object.__setattr__(self, "_ints", (d, re, im))
+            return self._ints
 
     @classmethod
     def const(cls, value: CoeffLike) -> "CPoly":
@@ -75,12 +96,26 @@ class CPoly:
         return bool(self.coeffs)
 
     def __add__(self, other: "CPoly") -> "CPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return CPoly([self.coeff(m) + other.coeff(m) for m in range(n)])
+        return self._combine(other, 1)
 
     def __sub__(self, other: "CPoly") -> "CPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return CPoly([self.coeff(m) - other.coeff(m) for m in range(n)])
+        return self._combine(other, -1)
+
+    def _combine(self, other: "CPoly", sign: int) -> "CPoly":
+        """self + sign * other."""
+        if not other.coeffs:
+            return self
+        if not self.coeffs:
+            return other if sign > 0 else -other
+        da, ar, ai = self._scaled()
+        db, br, bi = other._scaled()
+        d = lcm(da, db)
+        sa, sb = d // da, sign * (d // db)
+        n = max(len(ar), len(br))
+        pad_a, pad_b = (0,) * (n - len(ar)), (0,) * (n - len(br))
+        re = [sa * x + sb * u for x, u in zip(ar + pad_a, br + pad_b)]
+        im = [sa * y + sb * v for y, v in zip(ai + pad_a, bi + pad_b)]
+        return CPoly(_unscaled(d, re, im))
 
     def __neg__(self) -> "CPoly":
         return CPoly([-c for c in self.coeffs])
@@ -93,13 +128,17 @@ class CPoly:
             return NotImplemented
         if self.is_zero() or other.is_zero():
             return CPoly()
-        out = [GR_ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for m, a in enumerate(self.coeffs):
-            if not a:
+        da, ar, ai = self._scaled()
+        db, br, bi = other._scaled()
+        re = [0] * (len(ar) + len(br) - 1)
+        im = [0] * len(re)
+        for m, (x, y) in enumerate(zip(ar, ai)):
+            if not (x or y):
                 continue
-            for n, b in enumerate(other.coeffs):
-                out[m + n] = out[m + n] + a * b
-        return CPoly(out)
+            for n, (u, v) in enumerate(zip(br, bi), m):
+                re[n] += x * u - y * v
+                im[n] += x * v + y * u
+        return CPoly(_unscaled(da * db, re, im))
 
     def __rmul__(self, other):
         if isinstance(other, (GaussRat, Fraction, int)):
@@ -111,18 +150,37 @@ class CPoly:
             raise ZeroDivisionError("polynomial division by zero")
         if self.degree < other.degree:
             return CPoly(), self
-        rem = list(self.coeffs)
-        lead_inv = other.lead().inverse()
-        qdeg = self.degree - other.degree
-        quo = [GR_ZERO] * (qdeg + 1)
-        for k in range(qdeg, -1, -1):
-            factor = rem[k + other.degree] * lead_inv
-            if not factor:
+        # self = (rr + ri*i) / dr.  Multiplying the divisor by the conjugate
+        # of its leading numerator L gives (cr + ci*i) / db with the positive
+        # integer leading coefficient |L|^2, so each step only rescales the
+        # remainder by an integer.
+        dr, rr, ri = self._scaled()
+        rr, ri = list(rr), list(ri)
+        db, br, bi = other._scaled()
+        lr, li = br[-1], bi[-1]
+        cr = [x * lr + y * li for x, y in zip(br, bi)]
+        ci = [y * lr - x * li for x, y in zip(br, bi)]
+        norm = cr[-1]
+        bdeg = other.degree
+        quo = [GR_ZERO] * (self.degree - bdeg + 1)
+        for k in range(len(quo) - 1, -1, -1):
+            x, y = rr[k + bdeg], ri[k + bdeg]
+            if not (x or y):
                 continue
-            quo[k] = factor
-            for m, b in enumerate(other.coeffs):
-                rem[k + m] = rem[k + m] - factor * b
-        return CPoly(quo), CPoly(rem)
+            # The quotient coefficient is (x + y*i) * db * conj(L) / (dr * |L|^2).
+            quo[k] = GaussRat(
+                Fraction((x * lr + y * li) * db, dr * norm), Fraction((y * lr - x * li) * db, dr * norm)
+            )
+            g = gcd(x, y, norm)
+            x, y, scale = x // g, y // g, norm // g
+            if scale != 1:
+                rr = [scale * t for t in rr]
+                ri = [scale * t for t in ri]
+                dr *= scale
+            for m, (u, v) in enumerate(zip(cr, ci), k):
+                rr[m] -= x * u - y * v
+                ri[m] -= x * v + y * u
+        return CPoly(quo), CPoly(_unscaled(dr, rr[:bdeg], ri[:bdeg]))
 
     def __floordiv__(self, other: "CPoly") -> "CPoly":
         return divmod(self, other)[0]

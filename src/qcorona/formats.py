@@ -8,7 +8,9 @@ coefficient a bracketed quadruple of exact rationals:
     f1 = [0, -1, 0, 0] [1, 0, 0, 0]
 
 A solution file mirrors the instance format for the produced polynomials
-(named h1, h2, ... in instance order) and appends the certificate section:
+(named h1, h2, ... in instance order).  The certificate section after them
+is optional: `solve` appends the minor-gcd certificate its solution was
+built under, and a file without one is checked by the identity alone:
 
     minor 0 cols = 0 3
     minor 0 det = [1, 0] [0, -1/2]

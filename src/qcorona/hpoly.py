@@ -6,6 +6,11 @@ has real coefficients.  The slice is fixed once and for all: splittings use
 the plane through i, with j as the orthogonal unit, so every split is
 canonical and directly comparable.
 
+Because the variable is central and every nonzero coefficient is
+invertible, H[q] has a right division algorithm, and the extended right
+Euclidean algorithm yields a monic generator of the right ideal of any
+family together with Bezout witnesses (right_bezout).
+
 Zero sets are computed exactly.  A sphere of quaternions with center x and
 squared radius y^2 is identified by the rational pair (x, y^2); isolated
 zeros on such a sphere turn out to be rational quaternions even when the
@@ -18,12 +23,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional, Sequence, Union
 
-import sympy
-
-from .cpoly import CPoly
-from .scalars import GaussRat, Q_ONE, Q_ZERO, Quat, _frac
+from .cpoly import CP_ONE, CPoly
+from .scalars import GaussRat, Q_ONE, Q_ZERO, Quat, _frac, rational_sqrt
 
 QuatLike = Union[Quat, Fraction, int]
 
@@ -109,6 +112,30 @@ class HPoly:
                 out[m + n] = out[m + n] + a * b
         return HPoly(out)
 
+    def right_divmod(self, divisor: "HPoly") -> tuple["HPoly", "HPoly"]:
+        """(Q, R) with self = divisor * Q + R and deg R < deg divisor.
+
+        The variable is central, so divisor * q^k c has leading coefficient
+        lead(divisor) * c; taking c = lead(divisor)^-1 times the leading
+        coefficient of the running remainder cancels it exactly.
+        """
+        if divisor.is_zero():
+            raise ZeroDivisionError("polynomial division by zero")
+        d = divisor.degree
+        if self.degree < d:
+            return HPoly(), self
+        rem = list(self.coeffs)
+        lead_inv = divisor.coeffs[-1].inverse()
+        quo = [Q_ZERO] * (self.degree - d + 1)
+        for k in range(len(quo) - 1, -1, -1):
+            factor = lead_inv * rem[k + d]
+            if not factor:
+                continue
+            quo[k] = factor
+            for m, b in enumerate(divisor.coeffs):
+                rem[k + m] = rem[k + m] - b * factor
+        return HPoly(quo), HPoly(rem)
+
     def conjugate(self) -> "HPoly":
         """Regular conjugate: quaternion-conjugate every coefficient."""
         return HPoly([c.conjugate() for c in self.coeffs])
@@ -174,6 +201,72 @@ class HPoly:
 HP_ZERO = HPoly()
 HP_ONE = HPoly.const(1)
 HP_Q = HPoly.variable()
+
+
+@dataclass(frozen=True)
+class RightBezout:
+    """Outcome of the extended right Euclidean algorithm over f1..fn.
+
+    gcd is the monic generator of the right ideal f1*H[q] + ... + fn*H[q]
+    and sum f_l * witnesses[l] = gcd holds exactly.  remainders lists every
+    nonzero remainder of every division, made monic, in the order computed.
+    """
+
+    gcd: HPoly
+    witnesses: tuple[HPoly, ...]
+    remainders: tuple[HPoly, ...]
+
+
+def _right_bezout_pair(a: HPoly, b: HPoly, remainders: list[HPoly]) -> tuple[HPoly, HPoly, HPoly]:
+    """(g, x, y) with a*x + b*y = g monic, for b nonzero.
+
+    Invariant: r_k = a*x_k + b*y_k.  Each division r_{k-1} = r_k*Q + r_{k+1}
+    carries over to the witnesses as x_{k+1} = x_{k-1} - x_k*Q, and every
+    remainder is rescaled on the right to monic to keep coefficients small.
+    """
+    r0, r1 = a, b
+    x0, x1 = HP_ONE, HP_ZERO
+    y0, y1 = HP_ZERO, HP_ONE
+    while r1:
+        quo, rem = r0.right_divmod(r1)
+        x, y = x0 - x1 * quo, y0 - y1 * quo
+        if rem:
+            scale = rem.coeffs[-1].inverse()
+            rem, x, y = rem * scale, x * scale, y * scale
+            remainders.append(rem)
+        r0, r1, x0, x1, y0, y1 = r1, rem, x1, x, y1, y
+    scale = r0.coeffs[-1].inverse()
+    return r0 * scale, x0 * scale, y0 * scale
+
+
+def right_bezout(fs: Sequence[HPoly]) -> RightBezout:
+    """Monic generator of the right ideal of fs, with witnesses (Ore's algorithm).
+
+    H[q] with a central variable has a right division algorithm, so the
+    extended Euclidean algorithm folds over the family: the running
+    generator g is combined with each next nonzero f_l into g*x + f_l*y,
+    so the earlier witnesses are multiplied on the right by x.  The fold
+    stops once g = 1; later witnesses stay zero.  Zeros of g are exactly
+    the common zeros of the family.
+    """
+    if all(f.is_zero() for f in fs):
+        raise ValueError("all polynomials are zero")
+    g = HP_ZERO
+    ws = [HP_ZERO] * len(fs)
+    remainders: list[HPoly] = []
+    for ell, f in enumerate(fs):
+        if g == HP_ONE:
+            break
+        if f.is_zero():
+            continue
+        if g.is_zero():
+            scale = f.coeffs[-1].inverse()
+            g, ws[ell] = f * scale, HPoly.const(scale)
+            continue
+        g, x, y = _right_bezout_pair(g, f, remainders)
+        ws = [w * x for w in ws]
+        ws[ell] = y
+    return RightBezout(g, tuple(ws), tuple(remainders))
 
 
 @dataclass(frozen=True)
@@ -335,13 +428,50 @@ def real_poly_sphere_factors(p: CPoly) -> tuple[list[tuple[Sphere, int]], CPoly]
 
     Returns ((sphere, multiplicity), ...) for every linear factor with a
     rational root and every irreducible quadratic with negative discriminant,
-    plus the monic product of all remaining factors.  Factorization over the
-    rationals is delegated to sympy and is exact.
+    sorted by sphere, plus the monic product of all remaining factors.
+    Degrees up to two are factored in closed form; higher degrees are
+    factored over the rationals by sympy, which is imported only then.
+    Both are exact.
     """
     if not p.has_real_coeffs():
         raise ValueError("expected real coefficients")
     if p.is_zero():
         raise ValueError("zero polynomial")
+    if p.degree <= 2:
+        return _low_degree_sphere_factors(p)
+    return _sympy_sphere_factors(p)
+
+
+def _low_degree_sphere_factors(p: CPoly) -> tuple[list[tuple[Sphere, int]], CPoly]:
+    """real_poly_sphere_factors for degree at most two, from the monic coefficients.
+
+    z + c is the real point -c.  z^2 + bz + c has center x = -b/2 and
+    x^2 - c = disc/4: below zero it is the sphere (x, c - x^2), at zero the
+    double point x, above zero two rational points when disc/4 is a
+    rational square and an unresolved factor otherwise.
+    """
+    lead = p.lead().re
+    cs = [c.re / lead for c in p.coeffs]
+    if len(cs) == 1:
+        return [], CP_ONE
+    if len(cs) == 2:
+        return [(Sphere(-cs[0], Fraction(0)), 1)], CP_ONE
+    x = -cs[1] / 2
+    ysq = cs[0] - x * x
+    if ysq > 0:
+        return [(Sphere(x, ysq), 1)], CP_ONE
+    if not ysq:
+        return [(Sphere(x, Fraction(0)), 2)], CP_ONE
+    r = rational_sqrt(-ysq)
+    if r is None:
+        return [], CPoly(cs)
+    return [(Sphere(x - r, Fraction(0)), 1), (Sphere(x + r, Fraction(0)), 1)], CP_ONE
+
+
+def _sympy_sphere_factors(p: CPoly) -> tuple[list[tuple[Sphere, int]], CPoly]:
+    """real_poly_sphere_factors through sympy's factorization over the rationals."""
+    import sympy
+
     z = sympy.Symbol("z")
     sp = sympy.Poly(
         {m: sympy.Rational(c.re.numerator, c.re.denominator)
@@ -350,7 +480,7 @@ def real_poly_sphere_factors(p: CPoly) -> tuple[list[tuple[Sphere, int]], CPoly]
         domain="QQ",
     )
     spheres: list[tuple[Sphere, int]] = []
-    residual = CPoly.const(1)
+    residual = CP_ONE
     _, factors = sp.factor_list()
     for factor, mult in factors:
         fc = [Fraction(c.p, c.q) for c in factor.monic().all_coeffs()]  # descending

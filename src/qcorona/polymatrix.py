@@ -238,7 +238,7 @@ def iter_maximal_minors(m: PolyMatrix) -> Iterator[tuple[tuple[int, ...], CPoly]
 
 def minor_gcd_certificate(
     m: PolyMatrix,
-    budget: int = 2000,
+    budget: int | None = 2000,
     column_order: Iterable[tuple[int, ...]] | None = None,
 ) -> FullRankCertificate | RankObstruction:
     """Decide full-rank-everywhere by accumulating the gcd of maximal minors.
@@ -249,8 +249,8 @@ def minor_gcd_certificate(
     that strictly shrink the running gcd are retained, so the certificate
     stays small.  When the gcd reaches 1 the retained minors get Bezout
     witnesses and form the certificate.  When the enumeration finishes with
-    a nonconstant gcd, that gcd is returned as a proven obstruction.  If the
-    budget runs out first, MinorBudgetExceeded is raised.
+    a nonconstant gcd, that gcd is returned as a proven obstruction.  If a
+    budget is given and runs out first, MinorBudgetExceeded is raised.
     """
     if m.rows > m.cols:
         raise ValueError("matrix must have at least as many columns as rows")
@@ -267,7 +267,7 @@ def minor_gcd_certificate(
         if cols in seen:
             continue
         seen.add(cols)
-        if examined >= budget:
+        if budget is not None and examined >= budget:
             exhausted = False
             break
         examined += 1

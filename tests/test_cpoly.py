@@ -42,6 +42,16 @@ class TestArithmetic:
         assert (a * b) * c == a * (b * c)
         assert a * b == b * a
 
+    @given(cpolys(3), cpolys(3))
+    def test_integer_kernels_match_scalar_arithmetic(self, a, b):
+        product = [GaussRat(0)] * max(len(a.coeffs) + len(b.coeffs) - 1, 0)
+        for m, x in enumerate(a.coeffs):
+            for n, y in enumerate(b.coeffs):
+                product[m + n] = product[m + n] + x * y
+        assert a * b == CPoly(product)
+        n = max(len(a.coeffs), len(b.coeffs))
+        assert a - b == CPoly([a.coeff(m) - b.coeff(m) for m in range(n)])
+
     @given(cpolys(3), nonzero_cpolys(3))
     def test_divmod_is_exact(self, a, b):
         q, r = divmod(a, b)

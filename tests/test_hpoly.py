@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,8 @@ import hypothesis.strategies as st
 
 from qcorona.cpoly import CPoly, cpoly_from_rationals
 from qcorona.hpoly import (
+    _low_degree_sphere_factors,
+    _sympy_sphere_factors,
     HP_ONE,
     HP_Q,
     HPoly,
@@ -297,6 +300,45 @@ class TestClassifyZeros:
         for sphere, point in zs.isolated:
             assert (sphere.x, sphere.y_squared) in factor_spheres
             assert product.eval(point) == Q_ZERO
+
+
+def _low_degree_inputs():
+    """Seeded real polynomials of degree 0-2, labelled by the factoring case."""
+    rng = random.Random(2)
+
+    def frac():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+
+    def scaled(values):
+        lead = frac() or Fraction(1)
+        return cpoly_from_rationals([lead * v for v in values])
+
+    cases = []
+    for _ in range(3):
+        a, b, y = frac(), frac(), frac() or Fraction(1)
+        cases.append(("constant", scaled([1])))
+        cases.append(("linear", scaled([-a, 1])))
+        cases.append(("negative discriminant", scaled([a * a + y * y, -2 * a, 1])))
+        cases.append(("zero discriminant", scaled([a * a, -2 * a, 1])))
+        if a != b:
+            cases.append(("rational roots", scaled([a * b, -(a + b), 1])))
+        cases.append(("irrational roots", scaled([a * a - 2 * y * y, -2 * a, 1])))
+    return cases
+
+
+LOW_DEGREE = _low_degree_inputs()
+
+
+@pytest.mark.parametrize("case,p", LOW_DEGREE, ids=[f"{k}-{case}" for k, (case, _) in enumerate(LOW_DEGREE)])
+def test_closed_form_factors_match_sympy(case, p):
+    expected = _sympy_sphere_factors(p)
+    assert _low_degree_sphere_factors(p) == expected
+    assert real_poly_sphere_factors(p) == expected
+    spheres, residual = expected
+    if case == "irrational roots":
+        assert spheres == [] and residual.degree == 2
+    else:
+        assert residual.is_one()
 
 
 class TestReciprocalPair:
