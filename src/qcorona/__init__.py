@@ -36,7 +36,6 @@ from .hpoly import (
 )
 from .polymatrix import (
     FullRankCertificate,
-    MinorBudgetExceeded,
     PolyMatrix,
     RankObstruction,
     minor_gcd_certificate,
@@ -62,7 +61,6 @@ __all__ = [
     "FullRankCertificate",
     "GaussRat",
     "HPoly",
-    "MinorBudgetExceeded",
     "NaturalSyzygy",
     "PolyMatrix",
     "Quat",

@@ -65,10 +65,6 @@ def emit(report: dict) -> None:
     print(json.dumps(report, indent=2))
 
 
-def _load_instance(path: str) -> CoronaInstance:
-    return parse_instance(path)
-
-
 def _pick(inst: CoronaInstance, name: str) -> HPoly:
     for n, f in zip(inst.names, inst.fs):
         if n == name:
@@ -77,7 +73,7 @@ def _pick(inst: CoronaInstance, name: str) -> HPoly:
 
 
 def cmd_star(args) -> int:
-    inst = _load_instance(args.instance)
+    inst = parse_instance(args.instance)
     left, right = _pick(inst, args.left), _pick(inst, args.right)
     product = left * right
     emit({
@@ -91,7 +87,7 @@ def cmd_star(args) -> int:
 
 
 def cmd_conj(args) -> int:
-    inst = _load_instance(args.instance)
+    inst = parse_instance(args.instance)
     f = _pick(inst, args.name)
     result = f.conjugate()
     emit({
@@ -104,7 +100,7 @@ def cmd_conj(args) -> int:
 
 
 def cmd_sym(args) -> int:
-    inst = _load_instance(args.instance)
+    inst = parse_instance(args.instance)
     f = _pick(inst, args.name)
     result = f.symmetrize()
     emit({
@@ -117,7 +113,7 @@ def cmd_sym(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    inst = _load_instance(args.instance)
+    inst = parse_instance(args.instance)
     f = _pick(inst, args.name)
     points = parse_quat_brackets(args.point)
     if len(points) != 1:
@@ -134,7 +130,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_split(args) -> int:
-    inst = _load_instance(args.instance)
+    inst = parse_instance(args.instance)
     f = _pick(inst, args.name)
     pair = f.split()
     emit({
@@ -147,7 +143,7 @@ def cmd_split(args) -> int:
 
 
 def cmd_zeros(args) -> int:
-    inst = _load_instance(args.instance)
+    inst = parse_instance(args.instance)
     f = _pick(inst, args.name)
     zs = classify_zeros(f)
     emit({
@@ -164,7 +160,7 @@ def cmd_zeros(args) -> int:
 
 
 def cmd_syzygy(args) -> int:
-    inst = _load_instance(args.instance)
+    inst = parse_instance(args.instance)
     pair = build_koszul(inst.fs)
     combined = pair.combined()
     p = pair.p_vector()
@@ -208,7 +204,7 @@ def cmd_syzygy(args) -> int:
 
 
 def cmd_rank(args) -> int:
-    inst = _load_instance(args.instance)
+    inst = parse_instance(args.instance)
     pair = build_koszul(inst.fs)
     combined = pair.combined()
     n = inst.n
@@ -281,7 +277,7 @@ def _obstruction_json(command: str, inst: CoronaInstance, obstruction: CommonZer
 
 
 def cmd_solve(args) -> int:
-    inst = _load_instance(args.instance)
+    inst = parse_instance(args.instance)
     result = solve_corona(inst)
     if isinstance(result, CommonZeroObstruction):
         emit(_obstruction_json("solve", inst, result))
@@ -307,7 +303,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    inst = _load_instance(args.instance)
+    inst = parse_instance(args.instance)
     sol = parse_solution(args.solution)
     report = {"command": "verify", "instance": args.instance, "solution": args.solution}
     if len(sol.hs) != inst.n:
@@ -329,7 +325,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
-    inst = _load_instance(args.instance)
+    inst = parse_instance(args.instance)
     result = decide(inst)
     if not isinstance(result, CommonZeroObstruction):
         emit({"command": "diagnose", "status": "no_obstruction"})
@@ -394,13 +390,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InstanceFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (ValueError, FileNotFoundError) as exc:
+        # InstanceFormatError is a ValueError.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -6,14 +6,15 @@ family.  When g != 1 no solution exists: g left-divides every f_l and lies
 in their right ideal, so its zeros are exactly the family's common zeros,
 and they are named from its symmetrization.
 
-When g = 1 the paper's construction solves (koszul_solve): split the
-inputs onto the fixed slice, certify that the stacked Koszul matrix
-(A, -B) has full rank everywhere via the minor-gcd certificate, solve the
-first split equation with a Bezout combination, correct it through the
-(A, -B) system so the second equation holds too, reassemble, extend off
-the slice and re-verify the identity by exact coefficient equality.  The
-Euclid decision guarantees the certificate exists, so the enumeration
-runs without a budget; a Koszul obstruction after it is an internal error.
+When g = 1 the paper's construction solves (koszul_solve), and it runs
+only on families Euclid has proved solvable: split the inputs onto the
+fixed slice, certify that the stacked Koszul matrix (A, -B) has full rank
+everywhere from the minors of the rank argument, solve the first split
+equation with a Bezout combination, correct it through the (A, -B) system
+so the second equation holds too, reassemble, extend off the slice and
+re-verify the identity by exact coefficient equality.  Those minors are
+coprime for every family without common zeros, so a certificate that
+fails to close is an internal error, never an obstruction.
 """
 
 from __future__ import annotations
@@ -140,10 +141,7 @@ def solve_corona(inst: CoronaInstance) -> Union[CoronaSolution, CommonZeroObstru
     decision = decide(inst)
     if isinstance(decision, CommonZeroObstruction):
         return decision
-    outcome = koszul_solve(inst)
-    if isinstance(outcome, RankObstruction):
-        raise InternalCheckError("Koszul minors share a zero the Euclid generator rules out")
-    return replace(outcome, trace=SolveTrace(decision.remainders))
+    return replace(koszul_solve(inst), trace=SolveTrace(decision.remainders))
 
 
 # ---------------------------------------------------------------------------
@@ -198,28 +196,27 @@ def correct_and_assemble(
     return hs
 
 
-def koszul_solve(inst: CoronaInstance) -> Union[CoronaSolution, RankObstruction]:
-    """The paper's split/Koszul construction; every returned solution is re-verified.
+def koszul_solve(inst: CoronaInstance) -> CoronaSolution:
+    """The paper's split/Koszul construction for a family Euclid proved solvable.
 
-    A found certificate proves the stacked matrix has full rank at every
-    point, which rules out common zeros; a common zero forces every maximal
-    minor to vanish at the matching slice point, so the obstruction gcd
-    stays nonconstant.  The minors are enumerated without a budget.
+    The certificate comes from the rank-argument minors of
+    syzygy.certificate_column_order, which are coprime for every family
+    without common zeros.  If their gcd stays nonconstant the family has a
+    common zero that the caller should have ruled out, and
+    InternalCheckError is raised.  Every returned solution is re-verified.
     """
     inst.check_not_all_zero()
     pair = build_koszul(inst.fs)
-    outcome = minor_gcd_certificate(
-        pair.combined(),
-        budget=None,
-        column_order=certificate_column_order(pair),
-    )
-    if isinstance(outcome, RankObstruction):
-        return outcome
+    cert = minor_gcd_certificate(pair.combined(), certificate_column_order(pair))
+    if isinstance(cert, RankObstruction):
+        raise InternalCheckError(
+            f"rank-argument minors share the factor {cert.gcd} after {cert.minors_examined} minors"
+        )
     u = particular_solution(pair.splits)
-    hs = correct_and_assemble(pair.splits, u, pair, outcome)
+    hs = correct_and_assemble(pair.splits, u, pair, cert)
     if not verify_identity(inst.fs, hs):
         raise InternalCheckError("assembled solution failed the star identity")
-    return CoronaSolution(tuple(hs), outcome, None)
+    return CoronaSolution(tuple(hs), cert, None)
 
 
 # ---------------------------------------------------------------------------

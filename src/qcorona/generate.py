@@ -11,7 +11,6 @@ import random
 from fractions import Fraction
 
 from .corona import CoronaInstance
-from .cpoly import CPoly
 from .hpoly import HP_Q, HPoly
 from .scalars import GaussRat, Quat
 
@@ -31,10 +30,6 @@ def random_fraction(rng: random.Random, span: int = 3, max_den: int = 3) -> Frac
     return Fraction(rng.randint(-span, span), rng.randint(1, max_den))
 
 
-def random_gaussrat(rng: random.Random, span: int = 3) -> GaussRat:
-    return GaussRat(random_fraction(rng, span), random_fraction(rng, span))
-
-
 def random_quat(rng: random.Random, span: int = 3) -> Quat:
     return Quat(*(random_fraction(rng, span) for _ in range(4)))
 
@@ -44,10 +39,6 @@ def random_nonzero_quat(rng: random.Random, span: int = 3) -> Quat:
         q = random_quat(rng, span)
         if q:
             return q
-
-
-def random_cpoly(rng: random.Random, degree: int, span: int = 3) -> CPoly:
-    return CPoly([random_gaussrat(rng, span) for _ in range(degree + 1)])
 
 
 def random_hpoly(rng: random.Random, degree: int, span: int = 2) -> HPoly:

@@ -284,18 +284,6 @@ class SplitPair:
         ])
 
 
-def star_split(f: SplitPair, g: SplitPair) -> SplitPair:
-    """Star product expressed on slice components.
-
-    For f = F + G j and g = H + K j the product splits as
-    (F H - G hat(K)) + (F K + G hat(H)) j.  Used as an independent route to
-    the coefficient convolution.
-    """
-    F, G = f.F, f.G
-    H, K = g.F, g.G
-    return SplitPair(F * H - G * K.hat(), F * K + G * H.hat())
-
-
 def star_eval_pointwise(f: HPoly, g: HPoly, q: Quat) -> Quat:
     """Evaluate f*g at q through f(q) * g(f(q)^-1 q f(q)); 0 when f(q) = 0."""
     fq = f.eval(q)
@@ -303,18 +291,6 @@ def star_eval_pointwise(f: HPoly, g: HPoly, q: Quat) -> Quat:
         return Q_ZERO
     moved = fq.inverse() * q * fq
     return fq * g.eval(moved)
-
-
-def extension_eval(f: HPoly, x: Fraction, y: Fraction, axis: Quat) -> Quat:
-    """Evaluate f at x + y*axis from its two values on the fixed slice.
-
-    Combines f(x+yi) and f(x-yi) by the slice extension rule; agrees with
-    direct evaluation and is used as an independent check of it.
-    """
-    plus = f.eval(Quat(x, y))
-    minus = f.eval(Quat(x, -y))
-    half = Fraction(1, 2)
-    return (plus + minus) * half + axis * (Quat(0, half) * (minus - plus))
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .cpoly import CP_ZERO, CPoly, bezout_multi, gcd_monic
-from .scalars import GR_ZERO, GaussRat
+from .scalars import GaussRat
 
 
 class PolyMatrix:
@@ -129,29 +129,6 @@ def det_bareiss(m: PolyMatrix) -> CPoly:
     return -det if sign < 0 else det
 
 
-def det_cofactor(m: PolyMatrix) -> CPoly:
-    """Determinant by cofactor expansion; independent cross-check for small sizes."""
-    if m.rows != m.cols:
-        raise ValueError("determinant of a non-square matrix")
-    n = m.rows
-    if n == 0:
-        return CPoly.const(1)
-    if n == 1:
-        return m.at(0, 0)
-    total = CP_ZERO
-    cols = list(range(n))
-    for j in range(n):
-        entry = m.at(0, j)
-        if entry.is_zero():
-            continue
-        rest = PolyMatrix.from_rows([
-            [m.at(i, c) for c in cols if c != j] for i in range(1, n)
-        ])
-        term = entry * det_cofactor(rest)
-        total = total - term if j % 2 else total + term
-    return total
-
-
 def rank_of_scalar(rows: list[list[GaussRat]]) -> int:
     """Rank over the Gaussian rationals by straightforward elimination."""
     if not rows or not rows[0]:
@@ -216,41 +193,33 @@ class FullRankCertificate:
 
 @dataclass(frozen=True)
 class RankObstruction:
-    """Nonconstant gcd of all maximal minors; its roots are the rank-drop points."""
+    """Nonconstant gcd of the maximal minors examined.
+
+    Over all maximal minors its roots are the rank-drop points.
+    """
 
     gcd: CPoly
     minors_examined: int
 
 
 class MinorBudgetExceeded(RuntimeError):
-    """Enumeration budget ran out before the minor gcd was decided.
-
-    Distinct from a proven obstruction: the matrix may still have full rank
-    everywhere, we just did not find a coprime minor subset in time.
-    """
-
-
-def iter_maximal_minors(m: PolyMatrix) -> Iterator[tuple[tuple[int, ...], CPoly]]:
-    """Maximal minors in lexicographic column-set order, computed lazily."""
-    for cols in combinations(range(m.cols), m.rows):
-        yield cols, det_bareiss(m.submatrix(cols))
+    """No longer raised; kept only because bench/tracing.py imports it."""
 
 
 def minor_gcd_certificate(
     m: PolyMatrix,
-    budget: int | None = 2000,
     column_order: Iterable[tuple[int, ...]] | None = None,
 ) -> FullRankCertificate | RankObstruction:
-    """Decide full-rank-everywhere by accumulating the gcd of maximal minors.
+    """Accumulate the gcd of maximal minors until it reaches 1.
 
-    Column sets come from column_order when given (it must eventually cover
-    every maximal column set for obstructions to be proven; repeats are
-    skipped), otherwise from plain lexicographic enumeration.  Only minors
-    that strictly shrink the running gcd are retained, so the certificate
-    stays small.  When the gcd reaches 1 the retained minors get Bezout
-    witnesses and form the certificate.  When the enumeration finishes with
-    a nonconstant gcd, that gcd is returned as a proven obstruction.  If a
-    budget is given and runs out first, MinorBudgetExceeded is raised.
+    Column sets come from column_order when given (repeats are skipped),
+    otherwise from lexicographic enumeration of every maximal column set.
+    Only minors that strictly shrink the running gcd are retained, so the
+    certificate stays small.  When the gcd reaches 1 the retained minors get
+    Bezout witnesses and form the certificate.  When the order runs out
+    first, the running gcd is returned as a RankObstruction; that proves an
+    obstruction only for an order that covers every maximal column set,
+    such as the default.
     """
     if m.rows > m.cols:
         raise ValueError("matrix must have at least as many columns as rows")
@@ -260,17 +229,11 @@ def minor_gcd_certificate(
     kept_cols: list[tuple[int, ...]] = []
     kept_minors: list[CPoly] = []
     seen: set[tuple[int, ...]] = set()
-    examined = 0
-    exhausted = True
     for cols in column_order:
         cols = tuple(sorted(cols))
         if cols in seen:
             continue
         seen.add(cols)
-        if budget is not None and examined >= budget:
-            exhausted = False
-            break
-        examined += 1
         minor = det_bareiss(m.submatrix(cols))
         if minor.is_zero():
             continue
@@ -282,16 +245,10 @@ def minor_gcd_certificate(
         if running.is_one():
             _, witnesses = bezout_multi(kept_minors)
             return FullRankCertificate(
-                tuple(kept_cols), tuple(kept_minors), tuple(witnesses), examined
+                tuple(kept_cols), tuple(kept_minors), tuple(witnesses), len(seen)
             )
-    if exhausted:
-        if running.is_zero():
-            # Every maximal minor vanishes identically.
-            return RankObstruction(CP_ZERO, examined)
-        return RankObstruction(running, examined)
-    raise MinorBudgetExceeded(
-        f"gcd still {running} after {examined} minors (budget {budget})"
-    )
+    # A zero gcd means every examined minor vanishes identically.
+    return RankObstruction(running, len(seen))
 
 
 class CertificateMismatch(ValueError):

@@ -104,38 +104,23 @@ def build_koszul(fs: Sequence[HPoly]) -> SyzygyPair:
 
 
 def certificate_column_order(pair: SyzygyPair):
-    """Column sets for the minor-gcd certificate of the stacked matrix.
+    """Column sets of the rank argument for the minor-gcd certificate of (A, -B).
 
-    Plain lexicographic enumeration freezes the leading columns for a very
-    long prefix, and for three or more polynomials every minor on those
-    columns shares the obstructing factor, so the gcd stalls within any
-    realistic budget.  This order starts from the column choices of the rank
-    argument instead: the 2n-1 relations of A through one fixed index plus a
-    single column of the B block.  Such a minor factors as the fixed split
-    component to the power 2n-2 times the dot product of P against the B
-    column, and for a family without common zeros those dot products are
-    coprime, so this phase alone certifies every solvable instance.  The
-    mirrored phase and full lexicographic enumeration follow, keeping
-    obstruction proofs complete.
+    For each index ell of P, the 2n-1 relations of A through ell plus one
+    column of the B block: 2n * C(2n, 2) sets, the same set twice for n = 1.
+    Such a minor factors as the split component P_ell to the power 2n-2
+    times the dot product of P against the B column, and for a family
+    without common zeros those dot products are coprime, so these sets
+    certify every solvable family.  They prove no obstruction: a family with
+    a common zero is decided by right Euclid before this order is used.
     """
     two_n = 2 * pair.n
     k = len(pair.pairs)
     index_of = {p: i for i, p in enumerate(pair.pairs)}
-
-    def through(ell: int) -> list[int]:
-        return sorted(
-            index_of[(min(ell, m), max(ell, m))] for m in range(two_n) if m != ell
-        )
-
     for ell in range(two_n):
-        base = through(ell)
+        base = [index_of[(min(ell, m), max(ell, m))] for m in range(two_n) if m != ell]
         for extra in range(k):
             yield tuple(sorted(base + [k + extra]))
-    for ell in range(two_n):
-        base = [k + c for c in through(ell)]
-        for extra in range(k):
-            yield tuple(sorted(base + [extra]))
-    yield from combinations(range(2 * k), two_n)
 
 
 def kernel_dimension_at(pair: SyzygyPair, z: GaussRat) -> tuple[int, int]:

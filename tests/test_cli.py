@@ -83,6 +83,16 @@ def test_malformed_file_reports_its_line(capsys, tmp_path):
     assert "line 3" in err
 
 
+def test_missing_files_exit_2(capsys, tmp_path):
+    for argv in (
+        ("solve", tmp_path / "absent.inst"),
+        ("verify", INSTANCES / "easy.inst", tmp_path / "absent.sol"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "absent" in err
+
+
 def test_solution_without_certificate_parses_and_verifies(capsys, tmp_path):
     sol = tmp_path / "plain.sol"
     sol.write_text("h1 = [0, 1/5, -2/5, 0]\nh2 = [0, -1/5, 2/5, 0]\n", encoding="utf-8")

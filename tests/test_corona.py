@@ -1,14 +1,16 @@
 import random
+from math import comb
 
 import pytest
 from hypothesis import assume, given, settings
 import hypothesis.strategies as st
 
-from qcorona import generate
+from qcorona import corona, generate
 from qcorona.corona import (
     CommonZeroObstruction,
     CoronaInstance,
     CoronaSolution,
+    InternalCheckError,
     decide,
     diagnose_common_zero,
     koszul_solve,
@@ -16,8 +18,9 @@ from qcorona.corona import (
     verify_identity,
 )
 from qcorona.hpoly import HP_ONE, HP_Q, HPoly, real_poly_sphere_factors, right_bezout
-from qcorona.polymatrix import RankObstruction
+from qcorona.polymatrix import RankObstruction, minor_gcd_certificate
 from qcorona.scalars import Q_I, Q_J, Q_K, Quat
+from qcorona.syzygy import build_koszul, certificate_column_order
 
 from conftest import hpolys, nonzero_hpolys, q_minus
 
@@ -153,23 +156,63 @@ class TestSolveCorona:
             solve_corona(CoronaInstance.from_polys([HPoly()]))
 
 
+def _rank_argument_bound(n):
+    """2n * C(2n, 2): the column sets of the rank argument, counted with repeats."""
+    return 2 * n * comb(2 * n, 2)
+
+
+def _is_rank_argument_set(pair, cols):
+    """2n-1 columns of A whose index pairs share one index, plus one column of B."""
+    k = len(pair.pairs)
+    a_pairs = [pair.pairs[c] for c in cols if c < k]
+    through_one = any(all(ell in p for p in a_pairs) for ell in range(2 * pair.n))
+    return len(a_pairs) == 2 * pair.n - 1 and len(cols) - len(a_pairs) == 1 and through_one
+
+
 @pytest.mark.parametrize("label,fs", FAMILIES, ids=[label for label, _ in FAMILIES])
 def test_euclid_and_koszul_routes_agree(label, fs):
     inst = CoronaInstance.from_polys(fs)
     euclid = decide(inst)
-    koszul = koszul_solve(inst)
-    if isinstance(koszul, CoronaSolution):
-        assert not isinstance(euclid, CommonZeroObstruction)
+    pair = build_koszul(fs)
+    if not isinstance(euclid, CommonZeroObstruction):
+        koszul = koszul_solve(inst)
         assert verify_identity(fs, euclid.witnesses)
         assert verify_identity(fs, koszul.hs)
+        assert all(_is_rank_argument_set(pair, cols) for cols in koszul.certificate.minor_indices)
         return
-    assert isinstance(koszul, RankObstruction)
-    assert isinstance(euclid, CommonZeroObstruction)
+    # Every maximal minor, in lexicographic order: the gcd does not depend on the order.
+    reference = minor_gcd_certificate(pair.combined())
+    assert isinstance(reference, RankObstruction)
     # The Koszul gcd is Gaussian; times its hat it has the same spheres.
-    koszul_spheres, koszul_resolved = _sphere_data((koszul.gcd * koszul.gcd.hat()).monic())
+    koszul_spheres, koszul_resolved = _sphere_data((reference.gcd * reference.gcd.hat()).monic())
     assert _sphere_data(euclid.gcd) == (koszul_spheres, koszul_resolved)
     named = {entry.sphere for entry in diagnose_common_zero(inst, euclid).entries}
     assert named == koszul_spheres
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_certificate_order_is_the_rank_argument(n):
+    fs = [q_minus(Q_I) + HPoly.const(Quat(m)) for m in range(n)]
+    pair = build_koszul(fs)
+    order = list(certificate_column_order(pair))
+    assert len(order) == _rank_argument_bound(n)
+    assert all(_is_rank_argument_set(pair, cols) for cols in order)
+
+
+def test_koszul_solve_on_an_obstructed_family_is_an_internal_error(monkeypatch):
+    fs = dict(FAMILIES)["n2-isolated"]
+    outcomes = []
+
+    def recording(*args):
+        outcomes.append(minor_gcd_certificate(*args))
+        return outcomes[-1]
+
+    monkeypatch.setattr(corona, "minor_gcd_certificate", recording)
+    with pytest.raises(InternalCheckError):
+        koszul_solve(CoronaInstance.from_polys(fs))
+    [outcome] = outcomes
+    assert isinstance(outcome, RankObstruction) and not outcome.gcd.is_one()
+    assert outcome.minors_examined <= _rank_argument_bound(len(fs))
 
 
 def test_every_seeded_family_kind_is_covered():
