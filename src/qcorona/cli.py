@@ -6,7 +6,9 @@ re-verification never passes through floating point.  Exit codes: 0 on
 success, 1 on obstruction or failed verification, 2 only on a usage error
 or a malformed or missing input file.  solve and diagnose always decide:
 the right Euclidean algorithm either proves a solution exists, which solve
-then constructs, or names the common zeros.
+then constructs, or names the common zeros.  verify fails a solution whose
+identity does not hold, or whose certificate section, when present, does
+not recompute from the instance's own Koszul matrix.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .corona import (
 from .cpoly import CPoly
 from .formats import (
     InstanceFormatError,
+    SolutionFile,
     certificate_combination_holds,
     parse_instance,
     parse_quat_brackets,
@@ -38,7 +41,7 @@ from .formats import (
 )
 from .generate import sample_slice_points
 from .hpoly import HPoly, classify_zeros
-from .polymatrix import rank_at
+from .polymatrix import FullRankCertificate, rank_at
 from .scalars import GaussRat, Quat
 from .syzygy import build_koszul, check_three_term, kernel_dimension_at, natural_syzygy
 
@@ -314,14 +317,30 @@ def cmd_verify(args) -> int:
         emit(report)
         print("FAIL")
         return 1
-    identity = verify_identity(inst.fs, sol.hs)
-    report["identity_holds"] = identity
+    passed = verify_identity(inst.fs, sol.hs)
+    report["identity_holds"] = passed
     if sol.has_certificate():
         report["certificate_combination_holds"] = certificate_combination_holds(sol)
-    report["result"] = "PASS" if identity else "FAIL"
+        report["certificate_matches_instance"] = _certificate_matches(inst, sol)
+        passed = passed and report["certificate_matches_instance"]
+    report["result"] = "PASS" if passed else "FAIL"
     emit(report)
     print(report["result"])
-    return 0 if identity else 1
+    return 0 if passed else 1
+
+
+def _certificate_matches(inst: CoronaInstance, sol: SolutionFile) -> bool:
+    """Recompute every stored minor from the instance's own Koszul matrix.
+
+    A column set of the wrong width or with an index outside the matrix
+    cannot belong to the instance, so it makes the check false.
+    """
+    combined = build_koszul(inst.fs).combined()
+    for cols in sol.minor_cols:
+        if len(cols) != combined.rows or not all(0 <= c < combined.cols for c in cols):
+            return False
+    cert = FullRankCertificate(sol.minor_cols, sol.minors, sol.witnesses, len(sol.minors))
+    return cert.verify(combined)
 
 
 def cmd_diagnose(args) -> int:

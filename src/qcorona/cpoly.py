@@ -5,20 +5,27 @@ is a Euclidean domain, so gcds and Bezout witnesses exist and are computed
 exactly; every remainder is normalized to monic form to keep coefficient
 growth in check.
 
-Products and divisions run on Gaussian-integer numerators over one common
-denominator per polynomial, so the inner loops do plain integer arithmetic
-and each result coefficient is reduced to lowest terms once.
+Products (by a polynomial or by a scalar), divisions, sums and differences
+run on Gaussian-integer numerators over one common denominator per
+polynomial (``CPoly._scaled``, computed once and cached), so the inner
+loops do plain integer arithmetic and each result coefficient is reduced
+to lowest terms once, when the result ``CPoly`` is built.  The
+coefficient-list helpers ``_zi_mul``, ``_zi_sub`` and ``_zi_exact_div``
+work on Z[i][z] directly; ``polymatrix.det_bareiss`` runs its whole
+elimination on them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import zip_longest
 from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
 from .scalars import GR_ONE, GR_ZERO, GaussRat, RatLike
 
 CoeffLike = Union[GaussRat, Fraction, int]
+ZiPoly = tuple[Sequence[int], Sequence[int]]
 
 
 def _coeff(value: CoeffLike) -> GaussRat:
@@ -29,6 +36,69 @@ def _coeff(value: CoeffLike) -> GaussRat:
 
 def _unscaled(d: int, re: Sequence[int], im: Sequence[int]) -> list[GaussRat]:
     return [GaussRat(Fraction(x, d), Fraction(y, d)) for x, y in zip(re, im)]
+
+
+# Polynomials over Z[i] as (re, im): two equally long sequences of integer
+# coefficients, ascending, with no trailing zero coefficient; the zero
+# polynomial is ([], []).
+
+def _zi_mul(a: ZiPoly, b: ZiPoly) -> ZiPoly:
+    """Product in Z[i][z]."""
+    ar, ai = a
+    br, bi = b
+    if not ar or not br:
+        return [], []
+    re = [0] * (len(ar) + len(br) - 1)
+    im = [0] * len(re)
+    for m, (x, y) in enumerate(zip(ar, ai)):
+        if not (x or y):
+            continue
+        for n, (u, v) in enumerate(zip(br, bi), m):
+            re[n] += x * u - y * v
+            im[n] += x * v + y * u
+    return re, im
+
+
+def _zi_sub(a: ZiPoly, b: ZiPoly) -> ZiPoly:
+    """Difference in Z[i][z]."""
+    (ar, ai), (br, bi) = a, b
+    re = [x - u for x, u in zip_longest(ar, br, fillvalue=0)]
+    im = [y - v for y, v in zip_longest(ai, bi, fillvalue=0)]
+    while re and not (re[-1] or im[-1]):
+        re.pop()
+        im.pop()
+    return re, im
+
+
+def _zi_exact_div(a: ZiPoly, b: ZiPoly) -> ZiPoly:
+    """Quotient a / b in Z[i][z] for nonzero b; ValueError unless b divides a there."""
+    br, bi = b
+    rr, ri = list(a[0]), list(a[1])
+    bdeg = len(br) - 1
+    if len(rr) <= bdeg:
+        if rr:
+            raise ValueError("division is not exact")
+        return [], []
+    # (x + y*i) / (u + v*i) = (x + y*i)(u - v*i) / (u^2 + v^2).
+    u, v = br[-1], bi[-1]
+    norm = u * u + v * v
+    qr = [0] * (len(rr) - bdeg)
+    qi = [0] * len(qr)
+    for k in range(len(qr) - 1, -1, -1):
+        x, y = rr[k + bdeg], ri[k + bdeg]
+        if not (x or y):
+            continue
+        s, rem_s = divmod(x * u + y * v, norm)
+        t, rem_t = divmod(y * u - x * v, norm)
+        if rem_s or rem_t:
+            raise ValueError("division is not exact")
+        qr[k], qi[k] = s, t
+        for m, (p, w) in enumerate(zip(br, bi), k):
+            rr[m] -= s * p - t * w
+            ri[m] -= s * w + t * p
+    if any(rr[:bdeg]) or any(ri[:bdeg]):
+        raise ValueError("division is not exact")
+    return qr, qi
 
 
 class CPoly:
@@ -122,22 +192,24 @@ class CPoly:
 
     def __mul__(self, other):
         if isinstance(other, (GaussRat, Fraction, int)):
+            # c = (u + v*i) / dc scales every numerator by one Gaussian integer.
             c = _coeff(other)
-            return CPoly([a * c for a in self.coeffs])
+            if not (c and self.coeffs):
+                return CPoly()
+            da, ar, ai = self._scaled()
+            dc = lcm(c.re.denominator, c.im.denominator)
+            u = c.re.numerator * (dc // c.re.denominator)
+            v = c.im.numerator * (dc // c.im.denominator)
+            re = [x * u - y * v for x, y in zip(ar, ai)]
+            im = [x * v + y * u for x, y in zip(ar, ai)]
+            return CPoly(_unscaled(da * dc, re, im))
         if not isinstance(other, CPoly):
             return NotImplemented
         if self.is_zero() or other.is_zero():
             return CPoly()
         da, ar, ai = self._scaled()
         db, br, bi = other._scaled()
-        re = [0] * (len(ar) + len(br) - 1)
-        im = [0] * len(re)
-        for m, (x, y) in enumerate(zip(ar, ai)):
-            if not (x or y):
-                continue
-            for n, (u, v) in enumerate(zip(br, bi), m):
-                re[n] += x * u - y * v
-                im[n] += x * v + y * u
+        re, im = _zi_mul((ar, ai), (br, bi))
         return CPoly(_unscaled(da * db, re, im))
 
     def __rmul__(self, other):

@@ -6,6 +6,12 @@ has real coefficients.  The slice is fixed once and for all: splittings use
 the plane through i, with j as the orthogonal unit, so every split is
 canonical and directly comparable.
 
+The star product of two polynomials runs on integer quadruples: each
+factor is written over one common denominator (computed per call, not
+cached), the Hamilton products are convolved in plain integers, and each
+result coefficient is reduced to lowest terms once.  Right division and
+products by a quaternion scalar still use ``Quat`` arithmetic.
+
 Because the variable is central and every nonzero coefficient is
 invertible, H[q] has a right division algorithm, and the extended right
 Euclidean algorithm yields a monic generator of the right ideal of any
@@ -23,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Optional, Sequence, Union
 
 from .cpoly import CP_ONE, CPoly
@@ -35,6 +42,14 @@ def _quat(value: QuatLike) -> Quat:
     if isinstance(value, Quat):
         return value
     return Quat(value)
+
+
+def _integer_quadruples(f: HPoly) -> tuple[int, list[tuple[int, int, int, int]]]:
+    """(d, xs) with coefficient m of f equal to xs[m] / d componentwise, d > 0."""
+    d = lcm(*(x.denominator for c in f.coeffs for x in c.components()))
+    return d, [
+        tuple(x.numerator * (d // x.denominator) for x in c.components()) for c in f.coeffs
+    ]
 
 
 class HPoly:
@@ -104,13 +119,20 @@ class HPoly:
             return NotImplemented
         if self.is_zero() or other.is_zero():
             return HPoly()
-        out = [Q_ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for m, a in enumerate(self.coeffs):
-            if not a:
+        da, xs = _integer_quadruples(self)
+        db, ys = _integer_quadruples(other)
+        out = [[0, 0, 0, 0] for _ in range(len(xs) + len(ys) - 1)]
+        for m, (a0, a1, a2, a3) in enumerate(xs):
+            if not (a0 or a1 or a2 or a3):
                 continue
-            for n, b in enumerate(other.coeffs):
-                out[m + n] = out[m + n] + a * b
-        return HPoly(out)
+            for c, (b0, b1, b2, b3) in zip(out[m:], ys):
+                # Hamilton product, as in Quat.__mul__.
+                c[0] += a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3
+                c[1] += a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2
+                c[2] += a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1
+                c[3] += a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0
+        d = da * db
+        return HPoly([Quat(*(Fraction(x, d) for x in c)) for c in out])
 
     def right_divmod(self, divisor: "HPoly") -> tuple["HPoly", "HPoly"]:
         """(Q, R) with self = divisor * Q + R and deg R < deg divisor.

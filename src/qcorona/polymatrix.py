@@ -5,15 +5,29 @@ that the maximal minors of a wide matrix are coprime, hence that the matrix
 has full row rank at every point of the plane.  Given such a certificate,
 M x = H is solved constructively by Cramer's rule on each certified minor
 and a witness-weighted combination of the partial solutions.
+
+Determinants (det_bareiss) run on Gaussian-integer numerators: each row is
+cleared of denominators once, the whole elimination stays in Z[i][z], and
+the one reduction to lowest terms happens when the determinant is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import lcm
 from typing import Iterable, Sequence
 
-from .cpoly import CP_ZERO, CPoly, bezout_multi, gcd_monic
+from .cpoly import (
+    CP_ZERO,
+    CPoly,
+    _unscaled,
+    _zi_exact_div,
+    _zi_mul,
+    _zi_sub,
+    bezout_multi,
+    gcd_monic,
+)
 from .scalars import GaussRat
 
 
@@ -103,30 +117,46 @@ class PolyMatrix:
 
 
 def det_bareiss(m: PolyMatrix) -> CPoly:
-    """Determinant by fraction-free elimination; divisions are exact."""
+    """Determinant by fraction-free elimination over Z[i][z].
+
+    Row i is multiplied once by the lcm d_i of its entries' denominators,
+    so the elimination runs on Gaussian-integer coefficient lists.  Each
+    Bareiss quotient is a minor of that integer matrix, so every division
+    is exact in Z[i][z] (a remainder raises ValueError).  The determinant
+    is divided by the product of the d_i, with the swap sign, once.
+    """
     if m.rows != m.cols:
         raise ValueError("determinant of a non-square matrix")
     n = m.rows
     if n == 0:
         return CPoly.const(1)
-    a = [[m.at(i, j) for j in range(n)] for i in range(n)]
-    sign = 1
-    prev = CPoly.const(1)
+    a = []
+    scale = 1
+    for i in range(n):
+        row = [e._scaled() for e in m.row(i)]
+        d = lcm(*(de for de, _, _ in row))
+        scale *= d
+        a.append([
+            ([x * (d // de) for x in re], [y * (d // de) for y in im])
+            for de, re, im in row
+        ])
+    prev = ([1], [0])  # step k divides by the pivot of step k - 1, step 0 by 1
     for k in range(n - 1):
-        if a[k][k].is_zero():
-            pivot_row = next((r for r in range(k + 1, n) if not a[r][k].is_zero()), None)
+        if not a[k][k][0]:  # an empty coefficient list is the zero polynomial
+            pivot_row = next((r for r in range(k + 1, n) if a[r][k][0]), None)
             if pivot_row is None:
                 return CP_ZERO
             a[k], a[pivot_row] = a[pivot_row], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
+            scale = -scale
+        row_k = a[k]
+        pivot = row_k[k]
+        for row_i in a[k + 1:]:
             for j in range(k + 1, n):
-                num = a[i][j] * a[k][k] - a[i][k] * a[k][j]
-                a[i][j] = num.exact_div(prev)
-            a[i][k] = CP_ZERO
-        prev = a[k][k]
-    det = a[n - 1][n - 1]
-    return -det if sign < 0 else det
+                num = _zi_sub(_zi_mul(row_i[j], pivot), _zi_mul(row_i[k], row_k[j]))
+                row_i[j] = _zi_exact_div(num, prev) if k else num
+        prev = pivot
+    re, im = a[n - 1][n - 1]
+    return CPoly(_unscaled(scale, re, im))
 
 
 def rank_of_scalar(rows: list[list[GaussRat]]) -> int:

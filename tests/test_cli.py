@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -112,6 +113,65 @@ def test_koszul_solution_with_certificate_verifies(capsys, tmp_path):
     code, out, _ = run(capsys, "verify", inst_path, sol)
     assert code == 0
     assert json.loads(out[:out.rindex("}") + 1])["certificate_combination_holds"]
+
+
+def _verify_report(capsys, inst_path, sol):
+    code, out, _ = run(capsys, "verify", inst_path, sol)
+    return code, json.loads(out[:out.rindex("}") + 1]), out.splitlines()[-1]
+
+
+def _solved_text(capsys, tmp_path, name):
+    sol = tmp_path / f"{name}.sol"
+    assert run(capsys, "solve", INSTANCES / f"{name}.inst", "-o", sol)[0] == 0
+    return sol.read_text(encoding="utf-8")
+
+
+def _certificate_lines(text):
+    return [line for line in text.splitlines() if line.startswith("minor ")]
+
+
+def test_genuine_certificate_matches_its_instance(capsys, tmp_path):
+    sol = tmp_path / "hard.sol"
+    sol.write_text(_solved_text(capsys, tmp_path, "hard"), encoding="utf-8")
+    code, report, last = _verify_report(capsys, INSTANCES / "hard.inst", sol)
+    assert code == 0 and last == "PASS"
+    assert report["identity_holds"] and report["certificate_matches_instance"]
+
+
+def test_changed_minor_coefficient_fails(capsys, tmp_path):
+    lines = _solved_text(capsys, tmp_path, "hard").splitlines()
+    k = next(i for i, line in enumerate(lines) if line.startswith("minor 0 det = ["))
+    head, _, tail = lines[k].partition("[")
+    first, _, rest = tail.partition(",")
+    lines[k] = f"{head}[{Fraction(first) + 1},{rest}"
+    sol = tmp_path / "tampered.sol"
+    sol.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code, report, last = _verify_report(capsys, INSTANCES / "hard.inst", sol)
+    assert code == 1 and last == "FAIL"
+    assert report["identity_holds"] and not report["certificate_matches_instance"]
+
+
+def test_certificate_of_another_instance_fails(capsys, tmp_path):
+    easy = _solved_text(capsys, tmp_path, "easy")
+    hs = [line for line in easy.splitlines() if line.startswith("h")]
+    borrowed = hs + _certificate_lines(_solved_text(capsys, tmp_path, "hard"))
+    sol = tmp_path / "borrowed.sol"
+    sol.write_text("\n".join(borrowed) + "\n", encoding="utf-8")
+    code, report, last = _verify_report(capsys, INSTANCES / "easy.inst", sol)
+    assert code == 1 and last == "FAIL"
+    assert report["identity_holds"] and report["certificate_combination_holds"]
+    assert not report["certificate_matches_instance"]
+
+
+@pytest.mark.parametrize("cols", ["0 1 2 99", "0 1 2", "-1 0 1 2"])
+def test_column_set_outside_the_matrix_fails_without_raising(capsys, tmp_path, cols):
+    text = _solved_text(capsys, tmp_path, "hard")
+    old = next(line for line in text.splitlines() if line.startswith("minor 0 cols = "))
+    sol = tmp_path / "cols.sol"
+    sol.write_text(text.replace(old, f"minor 0 cols = {cols}"), encoding="utf-8")
+    code, report, last = _verify_report(capsys, INSTANCES / "hard.inst", sol)
+    assert code == 1 and last == "FAIL"
+    assert not report["certificate_matches_instance"]
 
 
 def test_trace_lists_the_euclid_remainders(capsys, tmp_path):

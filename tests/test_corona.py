@@ -1,5 +1,7 @@
+import hashlib
 import random
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -17,6 +19,7 @@ from qcorona.corona import (
     solve_corona,
     verify_identity,
 )
+from qcorona.formats import parse_instance, serialize_solution
 from qcorona.hpoly import HP_ONE, HP_Q, HPoly, real_poly_sphere_factors, right_bezout
 from qcorona.polymatrix import RankObstruction, minor_gcd_certificate
 from qcorona.scalars import Q_I, Q_J, Q_K, Quat
@@ -24,6 +27,7 @@ from qcorona.syzygy import build_koszul, certificate_column_order
 
 from conftest import hpolys, nonzero_hpolys, q_minus
 
+INSTANCES = Path(__file__).resolve().parents[1] / "instances"
 SPHERE_I = HPoly([1, 0, 1])  # q^2 + 1, zero on the whole unit imaginary sphere
 
 
@@ -220,3 +224,27 @@ def test_every_seeded_family_kind_is_covered():
     assert outcomes["n3-zero-member"] == outcomes["n2-constant-member"] == "RightBezout"
     for label in ("n2-isolated", "n2-spherical", "n2-real-point", "n2-zero-member-isolated"):
         assert outcomes[label] == "CommonZeroObstruction"
+
+
+# sha256 of serialize_solution(solve_corona(...)) for the shipped solvable
+# instances and three seeded families.  The arithmetic kernels may change
+# how a solution is computed, never a byte of it.
+SOLUTION_DIGESTS = {
+    "easy": "71474a4b3a68a7a3ab6cfc80afae676b96b9e571e97a0d94e7623364951ae4e0",
+    "hard": "22af4b66698d63f1b26db29dabd7b039828b989e98c0b46ce8b059c7ab8a0b97",
+    "triple": "8b97ad87c54d768ec7d4cbd04555eaf7a8b3d88d8964bc41cda01addf2a99a20",
+    "pin:2:2": "19f77eab1fc10aa21321ca3882c96e3f380b7b35f77b14b6b7dc467b2505043a",
+    "pin:3:1": "55f99dc003a009a721f79a06ee7e699acb0846bb65753a4154752a30cd33cc28",
+    "pin:2:3": "34e45b607cfa29b60fc31cf5a640e785b7cefd740cdf67d48e57410f334192a4",
+}
+
+
+@pytest.mark.parametrize("label", sorted(SOLUTION_DIGESTS))
+def test_solution_files_are_byte_identical(label):
+    if label.startswith("pin:"):
+        _, n, d = label.split(":")
+        inst = generate.random_coprime_instance(random.Random(label), int(n), int(d))
+    else:
+        inst = parse_instance(str(INSTANCES / f"{label}.inst"))
+    text = serialize_solution(solve_corona(inst))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == SOLUTION_DIGESTS[label]

@@ -52,6 +52,21 @@ class TestArithmetic:
         n = max(len(a.coeffs), len(b.coeffs))
         assert a - b == CPoly([a.coeff(m) - b.coeff(m) for m in range(n)])
 
+    @given(cpolys(3), gauss_rats)
+    def test_scalar_product_matches_scalar_arithmetic(self, a, c):
+        assert a * c == CPoly([x * c for x in a.coeffs])
+        for k in (c.re, c.im.numerator, 0):
+            assert a * k == CPoly([x * GaussRat(k) for x in a.coeffs])
+            assert k * a == a * k
+
+    def test_scalar_product_with_zero(self):
+        p = CPoly([GaussRat(Fraction(1, 2), 3), GaussRat(0), GaussRat(-1, Fraction(2, 3))])
+        assert (p * GaussRat(0)).is_zero() and (p * 0).is_zero()
+        assert (CPoly() * GaussRat(2, -1)).is_zero()
+        c = GaussRat(Fraction(-3, 2), Fraction(1, 5))
+        assert p * c == CPoly([x * c for x in p.coeffs])
+        assert (p * c).coeffs[0] == GaussRat(Fraction(-27, 20), Fraction(-22, 5))
+
     @given(cpolys(3), nonzero_cpolys(3))
     def test_divmod_is_exact(self, a, b):
         q, r = divmod(a, b)

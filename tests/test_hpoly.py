@@ -32,6 +32,8 @@ PRODUCT_IJ = HPoly([Q_K, -(Q_I + Q_J), Q_ONE])  # q^2 - q(i+j) + k
 
 axes = st.sampled_from(RATIONAL_AXES)
 small_fracs = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+# Polynomials whose middle coefficients are often exactly zero.
+gapped_hpolys = st.lists(st.one_of(st.just(Q_ZERO), quats), max_size=5).map(HPoly)
 
 
 def star_split(f: SplitPair, g: SplitPair) -> SplitPair:
@@ -77,6 +79,14 @@ class TestStarProduct:
     @given(hpolys(3), hpolys(3))
     def test_split_formula_matches_convolution(self, f, g):
         assert star_split(f.split(), g.split()).extend() == f * g
+
+    @given(gapped_hpolys, gapped_hpolys)
+    def test_integer_kernel_matches_quat_products(self, f, g):
+        out = [Q_ZERO] * max(len(f.coeffs) + len(g.coeffs) - 1, 0)
+        for m, a in enumerate(f.coeffs):
+            for n, b in enumerate(g.coeffs):
+                out[m + n] = out[m + n] + a * b
+        assert f * g == HPoly(out)
 
     @given(hpolys(4), hpolys(4), hpolys(4))
     def test_associativity(self, f, g, h):

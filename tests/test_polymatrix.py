@@ -1,10 +1,11 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from qcorona.cpoly import CP_ONE, CP_Z, CP_ZERO, CPoly, cpoly_from_rationals
+from qcorona.cpoly import CP_ONE, CP_Z, CP_ZERO, CPoly, _zi_exact_div, cpoly_from_rationals
 from qcorona.polymatrix import (
     CertificateMismatch,
     FullRankCertificate,
@@ -96,6 +97,54 @@ class TestDeterminants:
             ]
             m = PolyMatrix(size, size, entries)
             assert det_bareiss(m) == det_cofactor(m)
+
+    @staticmethod
+    def _rows_with_own_denominators(rng, size):
+        """Gaussian-rational rows; row r draws its denominators from a prime of its own."""
+        rows = []
+        for prime in (1, 2, 3, 5, 7)[:size]:
+            rows.append([
+                CPoly([
+                    GaussRat(Fraction(rng.randint(-4, 4), prime ** rng.randint(0, 2)),
+                             Fraction(rng.randint(-4, 4), prime ** rng.randint(0, 2)))
+                    for _ in range(rng.randint(1, 3))
+                ])
+                for _ in range(size)
+            ])
+        return rows
+
+    @pytest.mark.parametrize("size", [4, 5])
+    def test_bareiss_matches_cofactor_with_row_denominators_and_swaps(self, size):
+        rng = random.Random(size * 4099)
+        for trial in range(4):
+            rows = self._rows_with_own_denominators(rng, size)
+            rows[0][0] = CPoly()  # the first pivot is zero: a row swap
+            if trial % 2:
+                rows[1][1] = CPoly()  # and, often, a later one too
+            m = PolyMatrix.from_rows(rows)
+            det = det_bareiss(m)
+            assert not det.is_zero()
+            assert det == det_cofactor(m)
+
+    @pytest.mark.parametrize("size", [4, 5])
+    def test_bareiss_of_a_singular_matrix_is_zero(self, size):
+        rows = self._rows_with_own_denominators(random.Random(size), size)
+        c = CPoly([GaussRat(Fraction(1, 3), -2), GaussRat(0, Fraction(1, 2))])
+        rows[-1] = [x * c + y for x, y in zip(rows[0], rows[1])]
+        m = PolyMatrix.from_rows(rows)
+        assert det_cofactor(m).is_zero()
+        assert det_bareiss(m).is_zero()
+
+    def test_integer_division_raises_on_a_remainder(self):
+        z2_plus_1 = ([1, 0, 1], [0, 0, 0])
+        assert _zi_exact_div(([-1, 0, 1], [0, 0, 0]), ([1, 1], [0, 0])) == ([-1, 1], [0, 0])
+        assert _zi_exact_div(z2_plus_1, ([0, 1], [1, 0])) == ([0, 1], [-1, 0])  # (z - i)
+        with pytest.raises(ValueError):
+            _zi_exact_div(z2_plus_1, ([1, 1], [0, 0]))  # remainder 2
+        with pytest.raises(ValueError):
+            _zi_exact_div(([1], [0]), ([2], [0]))  # quotient 1/2 is not in Z[i]
+        with pytest.raises(ValueError):
+            _zi_exact_div(([1, 1], [0, 0]), z2_plus_1)  # lower degree, nonzero
 
     @settings(max_examples=20)
     @given(st.lists(cpolys(2), min_size=9, max_size=9))
