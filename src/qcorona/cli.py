@@ -29,11 +29,10 @@ from .corona import (
     solve_corona,
     verify_identity,
 )
-from .cpoly import CPoly
+from .cpoly import CPoly, dot
 from .formats import (
     InstanceFormatError,
     SolutionFile,
-    certificate_combination_holds,
     parse_instance,
     parse_quat_brackets,
     parse_solution,
@@ -41,7 +40,7 @@ from .formats import (
 )
 from .generate import sample_slice_points
 from .hpoly import HPoly, classify_zeros
-from .polymatrix import FullRankCertificate, rank_at
+from .polymatrix import rank_at
 from .scalars import GaussRat, Quat
 from .syzygy import build_koszul, check_three_term, kernel_dimension_at, natural_syzygy
 
@@ -168,14 +167,8 @@ def cmd_syzygy(args) -> int:
     combined = pair.combined()
     p = pair.p_vector()
     w = pair.w_vector()
-    a_ok = all(
-        sum((p[r] * pair.A.at(r, c) for r in range(pair.A.rows)), CPoly()).is_zero()
-        for c in range(pair.A.cols)
-    )
-    b_ok = all(
-        sum((w[r] * pair.B.at(r, c) for r in range(pair.B.rows)), CPoly()).is_zero()
-        for c in range(pair.B.cols)
-    )
+    a_ok = all(dot(p, pair.A.column(c)).is_zero() for c in range(pair.A.cols))
+    b_ok = all(dot(w, pair.B.column(c)).is_zero() for c in range(pair.B.cols))
     naturals = []
     n = inst.n
     for r in range(n):
@@ -320,7 +313,7 @@ def cmd_verify(args) -> int:
     passed = verify_identity(inst.fs, sol.hs)
     report["identity_holds"] = passed
     if sol.has_certificate():
-        report["certificate_combination_holds"] = certificate_combination_holds(sol)
+        report["certificate_combination_holds"] = sol.certificate.combination().is_one()
         report["certificate_matches_instance"] = _certificate_matches(inst, sol)
         passed = passed and report["certificate_matches_instance"]
     report["result"] = "PASS" if passed else "FAIL"
@@ -336,11 +329,10 @@ def _certificate_matches(inst: CoronaInstance, sol: SolutionFile) -> bool:
     cannot belong to the instance, so it makes the check false.
     """
     combined = build_koszul(inst.fs).combined()
-    for cols in sol.minor_cols:
+    for cols in sol.certificate.minor_indices:
         if len(cols) != combined.rows or not all(0 <= c < combined.cols for c in cols):
             return False
-    cert = FullRankCertificate(sol.minor_cols, sol.minors, sol.witnesses, len(sol.minors))
-    return cert.verify(combined)
+    return sol.certificate.verify(combined)
 
 
 def cmd_diagnose(args) -> int:

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Union
 
-from .cpoly import CPoly, bezout_multi
+from .cpoly import CPoly, bezout_multi, dot
 from .hpoly import (
     HP_ONE,
     HPoly,
@@ -72,9 +72,6 @@ class CoronaInstance:
     def n(self) -> int:
         return len(self.fs)
 
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(f.degree for f in self.fs)
-
     def check_not_all_zero(self) -> None:
         if not self.fs:
             raise ValueError("empty instance")
@@ -121,10 +118,7 @@ class CoronaSolution:
 
 def verify_identity(fs: Sequence[HPoly], hs: Sequence[HPoly]) -> bool:
     """Exact check that sum f_l * h_l equals the constant one."""
-    acc = HPoly()
-    for f, h in zip(fs, hs):
-        acc = acc + f * h
-    return acc == HP_ONE
+    return dot(fs, hs) == HP_ONE
 
 
 def decide(inst: CoronaInstance) -> Union[RightBezout, CommonZeroObstruction]:
@@ -183,8 +177,8 @@ def correct_and_assemble(
     v = [ui + ci for ui, ci in zip(u, correction)]
 
     p = interleave_splits(splits)
-    first = sum((pi * vi for pi, vi in zip(p, v)), CPoly())
-    second = sum((pi * wi for pi, wi in zip(p, hat_swap(v))), CPoly())
+    first = dot(p, v)
+    second = dot(p, hat_swap(v))
     if not first.is_one() or not second.is_zero():
         raise InternalCheckError("corrected vector does not satisfy the split system")
 

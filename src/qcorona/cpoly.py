@@ -5,6 +5,13 @@ is a Euclidean domain, so gcds and Bezout witnesses exist and are computed
 exactly; every remainder is normalized to monic form to keep coefficient
 growth in check.
 
+The extended Euclidean algorithm lives here once, for C[z] and for H[q]
+alike: bezout_pair is the step and bezout_fold the fold over a family.
+Both use only divmod, right products and right scalings, and C[z] is the
+i-slice of H[q], where right division is ordinary division, so
+bezout_multi and hpoly.right_bezout run the same code.  gcd_monic is the
+witness-free gcd.
+
 Products (by a polynomial or by a scalar), divisions, sums and differences
 run on Gaussian-integer numerators over one common denominator per
 polynomial (``CPoly._scaled``, computed once and cached), so the inner
@@ -17,7 +24,9 @@ elimination on them.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
+from functools import reduce
 from itertools import zip_longest
 from math import gcd, lcm
 from typing import Iterable, Sequence, Union
@@ -254,9 +263,6 @@ class CPoly:
                 ri[m] -= x * v + y * u
         return CPoly(quo), CPoly(_unscaled(dr, rr[:bdeg], ri[:bdeg]))
 
-    def __floordiv__(self, other: "CPoly") -> "CPoly":
-        return divmod(self, other)[0]
-
     def __mod__(self, other: "CPoly") -> "CPoly":
         return divmod(self, other)[1]
 
@@ -321,51 +327,73 @@ def gcd_monic(a: CPoly, b: CPoly) -> CPoly:
     return a.monic()
 
 
-def bezout_pair(a: CPoly, b: CPoly) -> tuple[CPoly, CPoly, CPoly]:
-    """Extended Euclid: returns (g, x, y) with x*a + y*b = g, g monic (or zero).
+def bezout_pair(a, b, remainders: list | None = None):
+    """Extended Euclid in C[z] or H[q]: (g, x, y) with a*x + b*y = g, g monic (or zero).
 
-    Each remainder is rescaled to monic, which bounds coefficient growth at
-    the degrees this package works with.
+    divmod is right division in both rings (in C[z] the ordinary one).  The
+    invariant r_k = a*x_k + b*y_k carries each division
+    r_{k-1} = r_k*q + r_{k+1} over to the witnesses on the right,
+    x_{k+1} = x_{k-1} - x_k*q, which H[q] needs and C[z] does not notice.
+    Each remainder is rescaled on the right to monic, which bounds
+    coefficient growth at the degrees this package works with, and appended
+    to remainders when a list is given.
     """
+    one, zero = type(a).const(1), type(a)()
     r0, r1 = a, b
-    x0, x1 = CP_ONE, CP_ZERO
-    y0, y1 = CP_ZERO, CP_ONE
-    while not r1.is_zero():
+    x0, x1 = one, zero
+    y0, y1 = zero, one
+    while r1:
         q, r = divmod(r0, r1)
-        x = x0 - q * x1
-        y = y0 - q * y1
-        if not r.is_zero():
-            s = r.lead().inverse()
+        x = x0 - x1 * q
+        y = y0 - y1 * q
+        if r:
+            s = r.coeffs[-1].inverse()
             r, x, y = r * s, x * s, y * s
-        r0, r1 = r1, r
-        x0, x1 = x1, x
-        y0, y1 = y1, y
-    if r0.is_zero():
-        return CP_ZERO, CP_ZERO, CP_ZERO
-    scale = r0.lead().inverse()
-    return r0 * scale, x0 * scale, y0 * scale
+            if remainders is not None:
+                remainders.append(r)
+        r0, r1, x0, x1, y0, y1 = r1, r, x1, x, y1, y
+    if not r0:
+        return zero, zero, zero
+    s = r0.coeffs[-1].inverse()
+    return r0 * s, x0 * s, y0 * s
+
+
+def bezout_fold(ps: Sequence, remainders: list | None = None) -> tuple:
+    """Monic generator g of the (right) ideal of ps, with witnesses: sum p_k*w_k = g.
+
+    The fold starts from the last member.  Each earlier nonzero p is
+    combined with the running generator g into p*x + g*y by bezout_pair,
+    and the later witnesses are multiplied on the right by y.  Once g = 1
+    the remaining earlier witnesses stay zero.  ps must not be empty; when
+    every member is zero, so are g and the witnesses.
+    """
+    one, zero = type(ps[0]).const(1), type(ps[0])()
+    g, ws = zero, [zero] * len(ps)
+    for k in range(len(ps) - 1, -1, -1):
+        if g == one:
+            break
+        if ps[k]:
+            g, ws[k], y = bezout_pair(ps[k], g, remainders)
+            ws[k + 1:] = [w * y for w in ws[k + 1:]]
+    return g, ws
 
 
 def bezout_multi(ps: Sequence[CPoly]) -> tuple[CPoly, list[CPoly]]:
     """Monic gcd of several polynomials plus witnesses w with sum(w*p) = gcd.
 
-    Folds bezout_pair(p1, gcd(rest)) recursively and back-substitutes the
-    tail witnesses.  No attempt is made to minimize witness degrees.
+    The witnesses come from bezout_fold; no attempt is made to minimize
+    their degrees.
     """
     if not ps:
         raise ValueError("empty input")
     if all(p.is_zero() for p in ps):
         raise ValueError("all input polynomials are zero")
-    return _bezout_fold(list(ps))
+    return bezout_fold(ps)
 
 
-def _bezout_fold(ps: list[CPoly]) -> tuple[CPoly, list[CPoly]]:
-    if len(ps) == 1:
-        p = ps[0]
-        if p.is_zero():
-            return CP_ZERO, [CP_ZERO]
-        inv = p.lead().inverse()
-        return p.monic(), [CPoly.const(inv)]
-    tail_gcd, tail_ws = _bezout_fold(ps[1:])
-    g, x, y = bezout_pair(ps[0], tail_gcd)
-    return g, [x] + [y * w for w in tail_ws]
+def dot(xs: Sequence, ys: Sequence):
+    """x1*y1 + x2*y2 + ... in any ring, multiplied and added left to right.
+
+    The sum starts from the first product, so xs and ys must not be empty.
+    """
+    return reduce(operator.add, map(operator.mul, xs, ys))

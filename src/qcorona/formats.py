@@ -31,6 +31,7 @@ from typing import Optional, Sequence
 from .corona import CoronaInstance, CoronaSolution
 from .cpoly import CPoly
 from .hpoly import HPoly
+from .polymatrix import FullRankCertificate
 from .scalars import GaussRat, Quat
 
 
@@ -137,15 +138,13 @@ def serialize_instance(inst: CoronaInstance) -> str:
 
 @dataclass(frozen=True)
 class SolutionFile:
-    """Parsed solution: the h polynomials plus the optional certificate."""
+    """Parsed solution: the h polynomials plus the certificate, empty when the file has none."""
 
     hs: tuple[HPoly, ...]
-    minor_cols: tuple[tuple[int, ...], ...]
-    minors: tuple[CPoly, ...]
-    witnesses: tuple[CPoly, ...]
+    certificate: FullRankCertificate
 
     def has_certificate(self) -> bool:
-        return bool(self.minors)
+        return bool(self.certificate.minors)
 
 
 _MINOR_RE = re.compile(r"^minor\s+(\d+)\s+(cols|det|witness)\s*=\s*(.*)$")
@@ -202,22 +201,15 @@ def parse_solution_text(text: str) -> SolutionFile:
     if not (set(cols) == set(dets) == set(wits)):
         raise InstanceFormatError("incomplete certificate section")
     order = sorted(cols)
-    return SolutionFile(
-        tuple(hs),
+    cert = FullRankCertificate(
         tuple(cols[k] for k in order),
         tuple(dets[k] for k in order),
         tuple(wits[k] for k in order),
+        len(order),
     )
+    return SolutionFile(tuple(hs), cert)
 
 
 def parse_solution(path: str) -> SolutionFile:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_solution_text(fh.read())
-
-
-def certificate_combination_holds(sol: SolutionFile) -> bool:
-    """Check sum(witness * minor) = 1 from file data alone."""
-    acc = CPoly()
-    for w, d in zip(sol.witnesses, sol.minors):
-        acc = acc + w * d
-    return acc.is_one()

@@ -13,9 +13,11 @@ result coefficient is reduced to lowest terms once.  Right division and
 products by a quaternion scalar still use ``Quat`` arithmetic.
 
 Because the variable is central and every nonzero coefficient is
-invertible, H[q] has a right division algorithm, and the extended right
-Euclidean algorithm yields a monic generator of the right ideal of any
-family together with Bezout witnesses (right_bezout).
+invertible, H[q] has a right division algorithm, which is what divmod on
+an HPoly computes: divmod(a, b) = (q, r) with a = b*q + r.  The extended
+Euclidean algorithm is not repeated here: right_bezout runs the one in
+cpoly (bezout_pair and bezout_fold) on HPolys, which yields a monic
+generator of the right ideal of any family together with Bezout witnesses.
 
 Zero sets are computed exactly.  A sphere of quaternions with center x and
 squared radius y^2 is identified by the rational pair (x, y^2); isolated
@@ -32,7 +34,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Optional, Sequence, Union
 
-from .cpoly import CP_ONE, CPoly
+from .cpoly import CP_ONE, CPoly, bezout_fold
 from .scalars import GaussRat, Q_ONE, Q_ZERO, Quat, _frac, rational_sqrt
 
 QuatLike = Union[Quat, Fraction, int]
@@ -134,8 +136,8 @@ class HPoly:
         d = da * db
         return HPoly([Quat(*(Fraction(x, d) for x in c)) for c in out])
 
-    def right_divmod(self, divisor: "HPoly") -> tuple["HPoly", "HPoly"]:
-        """(Q, R) with self = divisor * Q + R and deg R < deg divisor.
+    def __divmod__(self, divisor: "HPoly") -> tuple["HPoly", "HPoly"]:
+        """Right division: (Q, R) with self = divisor * Q + R and deg R < deg divisor.
 
         The variable is central, so divisor * q^k c has leading coefficient
         lead(divisor) * c; taking c = lead(divisor)^-1 times the leading
@@ -220,7 +222,6 @@ class HPoly:
         return f"HPoly([{', '.join(repr(c) for c in self.coeffs)}])"
 
 
-HP_ZERO = HPoly()
 HP_ONE = HPoly.const(1)
 HP_Q = HPoly.variable()
 
@@ -239,55 +240,17 @@ class RightBezout:
     remainders: tuple[HPoly, ...]
 
 
-def _right_bezout_pair(a: HPoly, b: HPoly, remainders: list[HPoly]) -> tuple[HPoly, HPoly, HPoly]:
-    """(g, x, y) with a*x + b*y = g monic, for b nonzero.
-
-    Invariant: r_k = a*x_k + b*y_k.  Each division r_{k-1} = r_k*Q + r_{k+1}
-    carries over to the witnesses as x_{k+1} = x_{k-1} - x_k*Q, and every
-    remainder is rescaled on the right to monic to keep coefficients small.
-    """
-    r0, r1 = a, b
-    x0, x1 = HP_ONE, HP_ZERO
-    y0, y1 = HP_ZERO, HP_ONE
-    while r1:
-        quo, rem = r0.right_divmod(r1)
-        x, y = x0 - x1 * quo, y0 - y1 * quo
-        if rem:
-            scale = rem.coeffs[-1].inverse()
-            rem, x, y = rem * scale, x * scale, y * scale
-            remainders.append(rem)
-        r0, r1, x0, x1, y0, y1 = r1, rem, x1, x, y1, y
-    scale = r0.coeffs[-1].inverse()
-    return r0 * scale, x0 * scale, y0 * scale
-
-
 def right_bezout(fs: Sequence[HPoly]) -> RightBezout:
     """Monic generator of the right ideal of fs, with witnesses (Ore's algorithm).
 
     H[q] with a central variable has a right division algorithm, so the
-    extended Euclidean algorithm folds over the family: the running
-    generator g is combined with each next nonzero f_l into g*x + f_l*y,
-    so the earlier witnesses are multiplied on the right by x.  The fold
-    stops once g = 1; later witnesses stay zero.  Zeros of g are exactly
-    the common zeros of the family.
+    extended Euclidean algorithm of cpoly.bezout_fold applies as it is.
+    Zeros of the generator are exactly the common zeros of the family.
     """
     if all(f.is_zero() for f in fs):
         raise ValueError("all polynomials are zero")
-    g = HP_ZERO
-    ws = [HP_ZERO] * len(fs)
     remainders: list[HPoly] = []
-    for ell, f in enumerate(fs):
-        if g == HP_ONE:
-            break
-        if f.is_zero():
-            continue
-        if g.is_zero():
-            scale = f.coeffs[-1].inverse()
-            g, ws[ell] = f * scale, HPoly.const(scale)
-            continue
-        g, x, y = _right_bezout_pair(g, f, remainders)
-        ws = [w * x for w in ws]
-        ws[ell] = y
+    g, ws = bezout_fold(fs, remainders)
     return RightBezout(g, tuple(ws), tuple(remainders))
 
 

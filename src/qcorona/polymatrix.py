@@ -26,6 +26,7 @@ from .cpoly import (
     _zi_mul,
     _zi_sub,
     bezout_multi,
+    dot,
     gcd_monic,
 )
 from .scalars import GaussRat
@@ -101,13 +102,7 @@ class PolyMatrix:
     def mul_vector(self, xs: Sequence[CPoly]) -> list[CPoly]:
         if len(xs) != self.cols:
             raise ValueError("vector length mismatch")
-        out = []
-        for i in range(self.rows):
-            acc = CP_ZERO
-            for j, x in enumerate(xs):
-                acc = acc + self.at(i, j) * x
-            out.append(acc)
-        return out
+        return [dot(self.row(i), xs) for i in range(self.rows)]
 
     def evaluate(self, z: GaussRat) -> list[list[GaussRat]]:
         return [[self.at(i, j).eval(z) for j in range(self.cols)] for i in range(self.rows)]
@@ -208,10 +203,7 @@ class FullRankCertificate:
     minors_examined: int
 
     def combination(self) -> CPoly:
-        acc = CP_ZERO
-        for w, d in zip(self.witnesses, self.minors):
-            acc = acc + w * d
-        return acc
+        return dot(self.witnesses, self.minors)
 
     def verify(self, m: PolyMatrix) -> bool:
         """Recompute every stored minor from m and check the Bezout identity."""

@@ -58,15 +58,21 @@ class GaussRat:
         return bool(self.re) or bool(self.im)
 
     def __add__(self, other: "GaussRat") -> "GaussRat":
+        if not isinstance(other, GaussRat):
+            return NotImplemented
         return GaussRat(self.re + other.re, self.im + other.im)
 
     def __sub__(self, other: "GaussRat") -> "GaussRat":
+        if not isinstance(other, GaussRat):
+            return NotImplemented
         return GaussRat(self.re - other.re, self.im - other.im)
 
     def __neg__(self) -> "GaussRat":
         return GaussRat(-self.re, -self.im)
 
     def __mul__(self, other: "GaussRat") -> "GaussRat":
+        if not isinstance(other, GaussRat):
+            return NotImplemented
         return GaussRat(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
@@ -102,7 +108,6 @@ class GaussRat:
 
 GR_ZERO = GaussRat(0)
 GR_ONE = GaussRat(1)
-GR_I = GaussRat(0, 1)
 
 
 class Quat:

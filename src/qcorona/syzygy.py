@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional, Sequence
 
-from .cpoly import CP_ZERO, CPoly
+from .cpoly import CP_ZERO, CPoly, dot
 from .hpoly import HPoly, SplitPair
 from .polymatrix import PolyMatrix, nullity_at
 from .scalars import GaussRat
@@ -143,10 +143,7 @@ class NaturalSyzygy:
     entries: tuple[HPoly, ...]
 
     def annihilates(self, fs: Sequence[HPoly]) -> bool:
-        acc = HPoly()
-        for f, e in zip(fs, self.entries):
-            acc = acc + f * e
-        return acc.is_zero()
+        return dot(fs, self.entries).is_zero()
 
 
 def natural_syzygy(fs: Sequence[HPoly], r: int, t: int) -> NaturalSyzygy:

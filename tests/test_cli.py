@@ -182,6 +182,25 @@ def test_trace_lists_the_euclid_remainders(capsys, tmp_path):
     assert 0 < report["certificate_minors"] <= report["minors_examined"]
 
 
+PAIR_INST = """\
+f1 = [0, 0, 1, 0] [0, 1, 0, 0] [0, 0, 0, 0] [1, 0, 0, 0]
+f2 = [0, 0, 0, 1] [1, 0, 0, 0] [1, 0, 0, 0]
+"""
+
+
+@pytest.mark.parametrize("name,remainders", [
+    ("hard.inst", [[["1", "0", "0", "0"]]]),
+    ("pair.inst", [[["-1/3", "1/3", "0", "2/3"], ["1", "0", "0", "0"]], [["1", "0", "0", "0"]]]),
+])
+def test_trace_of_a_pair_is_pinned(capsys, tmp_path, name, remainders):
+    # For n = 2 the remainders do not depend on which member the fold starts from.
+    (tmp_path / "pair.inst").write_text(PAIR_INST, encoding="utf-8")
+    path = INSTANCES / name if name == "hard.inst" else tmp_path / name
+    code, out, _ = run(capsys, "solve", "--trace", path, "-o", tmp_path / "out.sol")
+    assert code == 0
+    assert json.loads(out)["trace"]["euclid_remainders"] == remainders
+
+
 def test_solve_dup_stdout_is_pinned(capsys):
     code, out, _ = run(capsys, "solve", INSTANCES / "dup.inst")
     assert code == 1

@@ -20,7 +20,8 @@ from qcorona.corona import (
     verify_identity,
 )
 from qcorona.formats import parse_instance, serialize_solution
-from qcorona.hpoly import HP_ONE, HP_Q, HPoly, real_poly_sphere_factors, right_bezout
+from qcorona.cpoly import CPoly, bezout_multi
+from qcorona.hpoly import HP_ONE, HP_Q, HPoly, SplitPair, real_poly_sphere_factors, right_bezout
 from qcorona.polymatrix import RankObstruction, minor_gcd_certificate
 from qcorona.scalars import Q_I, Q_J, Q_K, Quat
 from qcorona.syzygy import build_koszul, certificate_column_order
@@ -61,6 +62,20 @@ def _families():
 FAMILIES = _families()
 
 
+def _slice_families():
+    """Seeded families whose coefficients all lie in the i-slice, not all zero."""
+    rng = random.Random("i-slice")
+    families = []
+    while len(families) < 200:
+        fs = [
+            HPoly([Quat(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(rng.randint(0, 4))])
+            for _ in range(rng.randint(1, 4))
+        ]
+        if any(fs):
+            families.append(fs)
+    return families
+
+
 def _sphere_data(real_poly):
     spheres, residual = real_poly_sphere_factors(real_poly)
     return {sphere for sphere, _ in spheres}, residual.is_one()
@@ -70,20 +85,20 @@ class TestRightDivision:
     @settings(max_examples=60)
     @given(hpolys(5), nonzero_hpolys(3))
     def test_division_invariant(self, f, g):
-        quo, rem = f.right_divmod(g)
+        quo, rem = divmod(f, g)
         assert g * quo + rem == f
         assert rem.degree < g.degree
 
     def test_left_factor_divides_exactly(self):
         f = q_minus(Q_I) * q_minus(Q_J)
-        quo, rem = f.right_divmod(q_minus(Q_I))
+        quo, rem = divmod(f, q_minus(Q_I))
         assert rem.is_zero() and quo == q_minus(Q_J)
         # q - j is a right factor, not a left one: right division leaves a remainder.
-        assert not f.right_divmod(q_minus(Q_J))[1].is_zero()
+        assert not divmod(f, q_minus(Q_J))[1].is_zero()
 
     def test_zero_divisor_rejected(self):
         with pytest.raises(ZeroDivisionError):
-            HP_Q.right_divmod(HPoly())
+            divmod(HP_Q, HPoly())
 
 
 class TestRightBezout:
@@ -99,7 +114,7 @@ class TestRightBezout:
             acc = acc + f * w
         assert acc == g
         for f in fs:
-            assert f.right_divmod(g)[1].is_zero()
+            assert divmod(f, g)[1].is_zero()
 
     @settings(max_examples=40)
     @given(nonzero_hpolys(4), nonzero_hpolys(4))
@@ -114,6 +129,15 @@ class TestRightBezout:
     def test_all_zero_rejected(self):
         with pytest.raises(ValueError):
             right_bezout([HPoly(), HPoly()])
+
+    def test_on_the_i_slice_it_is_bezout_multi(self):
+        # One fold serves both rings: on i-slice families the H[q] generator
+        # and witnesses are the C[z] ones, with zero G parts.
+        for fs in _slice_families():
+            result = right_bezout(fs)
+            g, ws = bezout_multi([f.split().F for f in fs])
+            assert result.gcd.split() == SplitPair(g, CPoly())
+            assert [w.split() for w in result.witnesses] == [SplitPair(w, CPoly()) for w in ws]
 
     def test_shared_left_factor_is_the_generator(self):
         c = Quat(1, 2, 0, -1)

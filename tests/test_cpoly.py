@@ -1,3 +1,5 @@
+import hashlib
+import random
 from fractions import Fraction
 
 import pytest
@@ -20,6 +22,50 @@ from conftest import cpolys, gauss_rats, nonzero_cpolys
 I = GaussRat(0, 1)
 Z_MINUS_I = CPoly([-I, 1])
 Z_PLUS_I = CPoly([I, 1])
+
+
+def _bezout_lists():
+    """Seeded C[z] lists for the bezout_multi digest.
+
+    Random lists mix zero, constant and low-degree members; the structured
+    ones add a zero last member, a constant in the middle, a coprime tail
+    z - a, z - b that closes the fold before the head is reached, and a
+    factor shared by every member, so the gcd is not one.
+    """
+    rng = random.Random("bezout_multi")
+
+    def small():
+        return GaussRat(Fraction(rng.randint(-6, 6), rng.randint(1, 3)), rng.randint(-3, 3))
+
+    def poly(degree):
+        if degree < 0:
+            return CPoly()
+        lead = GaussRat(rng.randint(1, 4), rng.randint(-2, 2))
+        return CPoly([small() for _ in range(degree)] + [lead])
+
+    def random_list(n):
+        return [poly(rng.choice((-1, 0, 1, 2, 3))) for _ in range(n)]
+
+    lists = []
+    for _ in range(60):
+        head = random_list(rng.randint(1, 4))
+        if not any(head):
+            head.append(poly(2))
+        a = small()
+        shared = CPoly([-a, 1])
+        lists += [
+            head,
+            head + [CPoly()],
+            head[:1] + [CPoly([small() or GaussRat(1)])] + head[1:],
+            head + [CPoly([-a, 1]), CPoly([-a - GaussRat(1, 1), 1])],
+            [p * shared for p in head],
+        ]
+    return lists
+
+
+# sha256 over repr(bezout_multi(ps)) for every list of _bezout_lists(): the
+# fold order, the witness updates and the monic rescaling all show in it.
+BEZOUT_MULTI_DIGEST = "4a73eaf44524381cdff91b495181c201fbad728973dec3d24ec37fc019f9abcc"
 
 
 class TestArithmetic:
@@ -148,6 +194,12 @@ class TestBezout:
     def test_all_zero_rejected(self):
         with pytest.raises(ValueError):
             bezout_multi([CPoly(), CPoly()])
+
+    def test_witnesses_are_pinned(self):
+        h = hashlib.sha256()
+        for ps in _bezout_lists():
+            h.update(repr(bezout_multi(ps)).encode("utf-8"))
+        assert h.hexdigest() == BEZOUT_MULTI_DIGEST
 
     def test_pair_with_zero(self):
         g, x, y = bezout_pair(CPoly(), Z_MINUS_I)

@@ -1,8 +1,10 @@
+import operator
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 
+from qcorona.cpoly import CPoly
 from qcorona.generate import RATIONAL_AXES
 from qcorona.scalars import (
     GaussRat,
@@ -122,6 +124,14 @@ class TestGaussRat:
     def test_zero_inverse_raises(self):
         with pytest.raises(ZeroDivisionError):
             GaussRat(0).inverse()
+
+    def test_scalar_times_cpoly_is_a_cpoly(self):
+        assert GaussRat(2) * CPoly([1]) == CPoly([2])
+
+    def test_other_operands_are_not_implemented(self):
+        for op in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(TypeError):
+                op(GaussRat(1), 1)
 
     def test_slice_pair_roundtrip(self):
         q = Quat(1, 2, 3, 4)
