@@ -12,14 +12,16 @@ i-slice of H[q], where right division is ordinary division, so
 bezout_multi and hpoly.right_bezout run the same code.  gcd_monic is the
 witness-free gcd.
 
-Products (by a polynomial or by a scalar), divisions, sums and differences
-run on Gaussian-integer numerators over one common denominator per
-polynomial (``CPoly._scaled``, computed once and cached), so the inner
-loops do plain integer arithmetic and each result coefficient is reduced
-to lowest terms once, when the result ``CPoly`` is built.  The
-coefficient-list helpers ``_zi_mul``, ``_zi_sub`` and ``_zi_exact_div``
-work on Z[i][z] directly; ``polymatrix.det_bareiss`` runs its whole
-elimination on them.
+A CPoly is stored as Gaussian-integer numerators over one positive
+denominator, (d, re, im), with the content gcd(d, *re, *im) removed once
+per polynomial when it is built; that form is canonical, so equality and
+hashing compare it directly.  Products (by a polynomial or by a scalar),
+sums, differences, negation, hat and both parts of divmod run on the
+numerators in plain integer arithmetic and build their result from
+(d, re, im).  Their GaussRat coefficients (``coeffs``) are built only
+when something reads them, and then cached.  The coefficient-list helpers
+``_zi_mul``, ``_zi_sub`` and ``_zi_exact_div`` work on Z[i][z] directly;
+``polymatrix.det_bareiss`` runs its whole elimination on them.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from itertools import zip_longest
 from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
-from .scalars import GR_ONE, GR_ZERO, GaussRat, RatLike
+from .scalars import GR_ZERO, GaussRat, RatLike
 
 CoeffLike = Union[GaussRat, Fraction, int]
 ZiPoly = tuple[Sequence[int], Sequence[int]]
@@ -111,30 +113,61 @@ def _zi_exact_div(a: ZiPoly, b: ZiPoly) -> ZiPoly:
 
 
 class CPoly:
-    """Polynomial in one variable z, coefficients ascending, no trailing zeros."""
+    """Polynomial in one variable z, coefficients ascending, no trailing zeros.
 
-    __slots__ = ("coeffs", "_ints")
+    The state is ``_ints = (d, re, im)``: coefficient m is
+    (re[m] + im[m]*i) / d with d > 0 and gcd(d, *re, *im) = 1, so d is the
+    lcm of the reduced coefficient denominators and the form is canonical.
+    """
+
+    __slots__ = ("_ints", "_coeffs")
 
     def __init__(self, coeffs: Iterable[CoeffLike] = ()):
         cs = [_coeff(c) for c in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        d = lcm(*(x.denominator for c in cs for x in (c.re, c.im)))
+        self._set_ints(
+            d,
+            [c.re.numerator * (d // c.re.denominator) for c in cs],
+            [c.im.numerator * (d // c.im.denominator) for c in cs],
+        )
+        object.__setattr__(self, "_coeffs", tuple(cs[:len(self._ints[1])]))
+
+    @classmethod
+    def _from_ints(cls, d: int, re: Sequence[int], im: Sequence[int]) -> "CPoly":
+        """The polynomial with coefficients (re[m] + im[m]*i) / d, for any nonzero d."""
+        p = object.__new__(cls)
+        p._set_ints(d, re, im)
+        return p
+
+    def _set_ints(self, d: int, re: Sequence[int], im: Sequence[int]) -> None:
+        """Store the canonical form: no trailing zeros, d > 0, content removed."""
+        n = len(re)
+        while n and not (re[n - 1] or im[n - 1]):
+            n -= 1
+        if not n:
+            object.__setattr__(self, "_ints", (1, (), ()))
+            return
+        re, im = tuple(re[:n]), tuple(im[:n])
+        g = gcd(d, *re, *im)
+        if d < 0:
+            g = -g
+        if g != 1:
+            d //= g
+            re = tuple(x // g for x in re)
+            im = tuple(y // g for y in im)
+        object.__setattr__(self, "_ints", (d, re, im))
 
     def __setattr__(self, name, value):
         raise AttributeError("CPoly is immutable")
 
-    def _scaled(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-        """(d, re, im) with coeffs[m] = (re[m] + im[m]*i) / d, d > 0; computed once."""
+    @property
+    def coeffs(self) -> tuple[GaussRat, ...]:
+        """The coefficients as GaussRats: those __init__ was given, else built on first access."""
         try:
-            return self._ints
+            return self._coeffs
         except AttributeError:
-            cs = self.coeffs
-            d = lcm(*(x.denominator for c in cs for x in (c.re, c.im)))
-            re = tuple(c.re.numerator * (d // c.re.denominator) for c in cs)
-            im = tuple(c.im.numerator * (d // c.im.denominator) for c in cs)
-            object.__setattr__(self, "_ints", (d, re, im))
-            return self._ints
+            object.__setattr__(self, "_coeffs", tuple(_unscaled(*self._ints)))
+            return self._coeffs
 
     @classmethod
     def const(cls, value: CoeffLike) -> "CPoly":
@@ -147,79 +180,81 @@ class CPoly:
     @property
     def degree(self) -> int:
         """Degree of the polynomial; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self._ints[1]) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._ints[1]
 
     def is_one(self) -> bool:
-        return len(self.coeffs) == 1 and self.coeffs[0] == GR_ONE
+        return self._ints == (1, (1,), (0,))
 
     def lead(self) -> GaussRat:
-        if not self.coeffs:
+        d, re, im = self._ints
+        if not re:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return GaussRat(Fraction(re[-1], d), Fraction(im[-1], d))
 
     def coeff(self, m: int) -> GaussRat:
-        return self.coeffs[m] if 0 <= m < len(self.coeffs) else GR_ZERO
+        return self.coeffs[m] if 0 <= m <= self.degree else GR_ZERO
 
     def __eq__(self, other):
         if not isinstance(other, CPoly):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self._ints == other._ints
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash(self._ints)
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self._ints[1])
 
     def __add__(self, other: "CPoly") -> "CPoly":
+        if not isinstance(other, CPoly):
+            return NotImplemented
         return self._combine(other, 1)
 
     def __sub__(self, other: "CPoly") -> "CPoly":
+        if not isinstance(other, CPoly):
+            return NotImplemented
         return self._combine(other, -1)
 
     def _combine(self, other: "CPoly", sign: int) -> "CPoly":
         """self + sign * other."""
-        if not other.coeffs:
+        if not other:
             return self
-        if not self.coeffs:
+        if not self:
             return other if sign > 0 else -other
-        da, ar, ai = self._scaled()
-        db, br, bi = other._scaled()
+        da, ar, ai = self._ints
+        db, br, bi = other._ints
         d = lcm(da, db)
         sa, sb = d // da, sign * (d // db)
         n = max(len(ar), len(br))
         pad_a, pad_b = (0,) * (n - len(ar)), (0,) * (n - len(br))
         re = [sa * x + sb * u for x, u in zip(ar + pad_a, br + pad_b)]
         im = [sa * y + sb * v for y, v in zip(ai + pad_a, bi + pad_b)]
-        return CPoly(_unscaled(d, re, im))
+        return CPoly._from_ints(d, re, im)
 
     def __neg__(self) -> "CPoly":
-        return CPoly([-c for c in self.coeffs])
+        d, re, im = self._ints
+        return CPoly._from_ints(d, [-x for x in re], [-y for y in im])
 
     def __mul__(self, other):
         if isinstance(other, (GaussRat, Fraction, int)):
             # c = (u + v*i) / dc scales every numerator by one Gaussian integer.
             c = _coeff(other)
-            if not (c and self.coeffs):
-                return CPoly()
-            da, ar, ai = self._scaled()
+            da, ar, ai = self._ints
             dc = lcm(c.re.denominator, c.im.denominator)
             u = c.re.numerator * (dc // c.re.denominator)
             v = c.im.numerator * (dc // c.im.denominator)
             re = [x * u - y * v for x, y in zip(ar, ai)]
             im = [x * v + y * u for x, y in zip(ar, ai)]
-            return CPoly(_unscaled(da * dc, re, im))
+            return CPoly._from_ints(da * dc, re, im)
         if not isinstance(other, CPoly):
             return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return CPoly()
-        da, ar, ai = self._scaled()
-        db, br, bi = other._scaled()
+        da, ar, ai = self._ints
+        db, br, bi = other._ints
         re, im = _zi_mul((ar, ai), (br, bi))
-        return CPoly(_unscaled(da * db, re, im))
+        return CPoly._from_ints(da * db, re, im)
 
     def __rmul__(self, other):
         if isinstance(other, (GaussRat, Fraction, int)):
@@ -227,7 +262,9 @@ class CPoly:
         return NotImplemented
 
     def __divmod__(self, other: "CPoly") -> tuple["CPoly", "CPoly"]:
-        if other.is_zero():
+        if not isinstance(other, CPoly):
+            return NotImplemented
+        if not other:
             raise ZeroDivisionError("polynomial division by zero")
         if self.degree < other.degree:
             return CPoly(), self
@@ -235,33 +272,36 @@ class CPoly:
         # of its leading numerator L gives (cr + ci*i) / db with the positive
         # integer leading coefficient |L|^2, so each step only rescales the
         # remainder by an integer.
-        dr, rr, ri = self._scaled()
+        dr, rr, ri = self._ints
         rr, ri = list(rr), list(ri)
-        db, br, bi = other._scaled()
+        db, br, bi = other._ints
         lr, li = br[-1], bi[-1]
         cr = [x * lr + y * li for x, y in zip(br, bi)]
         ci = [y * lr - x * li for x, y in zip(br, bi)]
         norm = cr[-1]
         bdeg = other.degree
-        quo = [GR_ZERO] * (self.degree - bdeg + 1)
-        for k in range(len(quo) - 1, -1, -1):
+        # The quotient is (qr + qi*i) * db / dr, rescaled along with the remainder.
+        qr = [0] * (self.degree - bdeg + 1)
+        qi = [0] * len(qr)
+        for k in range(len(qr) - 1, -1, -1):
             x, y = rr[k + bdeg], ri[k + bdeg]
             if not (x or y):
                 continue
-            # The quotient coefficient is (x + y*i) * db * conj(L) / (dr * |L|^2).
-            quo[k] = GaussRat(
-                Fraction((x * lr + y * li) * db, dr * norm), Fraction((y * lr - x * li) * db, dr * norm)
-            )
             g = gcd(x, y, norm)
             x, y, scale = x // g, y // g, norm // g
             if scale != 1:
                 rr = [scale * t for t in rr]
                 ri = [scale * t for t in ri]
+                qr = [scale * t for t in qr]
+                qi = [scale * t for t in qi]
                 dr *= scale
+            # Quotient coefficient k is (x + y*i) * conj(L) * db / dr.
+            qr[k], qi[k] = x * lr + y * li, y * lr - x * li
             for m, (u, v) in enumerate(zip(cr, ci), k):
                 rr[m] -= x * u - y * v
                 ri[m] -= x * v + y * u
-        return CPoly(quo), CPoly(_unscaled(dr, rr[:bdeg], ri[:bdeg]))
+        quo = CPoly._from_ints(dr, [t * db for t in qr], [t * db for t in qi])
+        return quo, CPoly._from_ints(dr, rr[:bdeg], ri[:bdeg])
 
     def __mod__(self, other: "CPoly") -> "CPoly":
         return divmod(self, other)[1]
@@ -279,10 +319,11 @@ class CPoly:
 
     def hat(self) -> "CPoly":
         """Coefficientwise conjugation; an involutive ring automorphism."""
-        return CPoly([c.conjugate() for c in self.coeffs])
+        d, re, im = self._ints
+        return CPoly._from_ints(d, re, [-y for y in im])
 
     def has_real_coeffs(self) -> bool:
-        return all(not c.im for c in self.coeffs)
+        return not any(self._ints[2])
 
     def eval(self, z: GaussRat) -> GaussRat:
         acc = GR_ZERO
@@ -291,7 +332,7 @@ class CPoly:
         return acc
 
     def __str__(self):
-        if not self.coeffs:
+        if not self:
             return "0"
         terms = []
         for m in range(self.degree, -1, -1):
@@ -347,14 +388,14 @@ def bezout_pair(a, b, remainders: list | None = None):
         x = x0 - x1 * q
         y = y0 - y1 * q
         if r:
-            s = r.coeffs[-1].inverse()
+            s = r.lead().inverse()
             r, x, y = r * s, x * s, y * s
             if remainders is not None:
                 remainders.append(r)
         r0, r1, x0, x1, y0, y1 = r1, r, x1, x, y1, y
     if not r0:
         return zero, zero, zero
-    s = r0.coeffs[-1].inverse()
+    s = r0.lead().inverse()
     return r0 * s, x0 * s, y0 * s
 
 

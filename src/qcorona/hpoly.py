@@ -6,11 +6,11 @@ has real coefficients.  The slice is fixed once and for all: splittings use
 the plane through i, with j as the orthogonal unit, so every split is
 canonical and directly comparable.
 
-The star product of two polynomials runs on integer quadruples: each
-factor is written over one common denominator (computed per call, not
-cached), the Hamilton products are convolved in plain integers, and each
-result coefficient is reduced to lowest terms once.  Right division and
-products by a quaternion scalar still use ``Quat`` arithmetic.
+The star product runs on integer quadruples: each factor is written over
+one common denominator (computed per call, not cached), the Hamilton
+products are convolved in plain integers, and each result coefficient is
+reduced to lowest terms once.  A scalar factor takes the same route as a
+constant polynomial.  Right division still uses ``Quat`` arithmetic.
 
 Because the variable is central and every nonzero coefficient is
 invertible, H[q] has a right division algorithm, which is what divmod on
@@ -87,6 +87,11 @@ class HPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
+    def lead(self) -> Quat:
+        if not self.coeffs:
+            raise ValueError("zero polynomial has no leading coefficient")
+        return self.coeffs[-1]
+
     def coeff(self, m: int) -> Quat:
         return self.coeffs[m] if 0 <= m < len(self.coeffs) else Q_ZERO
 
@@ -102,10 +107,14 @@ class HPoly:
         return bool(self.coeffs)
 
     def __add__(self, other: "HPoly") -> "HPoly":
+        if not isinstance(other, HPoly):
+            return NotImplemented
         n = max(len(self.coeffs), len(other.coeffs))
         return HPoly([self.coeff(m) + other.coeff(m) for m in range(n)])
 
     def __sub__(self, other: "HPoly") -> "HPoly":
+        if not isinstance(other, HPoly):
+            return NotImplemented
         n = max(len(self.coeffs), len(other.coeffs))
         return HPoly([self.coeff(m) - other.coeff(m) for m in range(n)])
 
@@ -115,9 +124,8 @@ class HPoly:
     def __mul__(self, other):
         """Star product: coefficient convolution c_n = sum a_m b_{n-m}."""
         if isinstance(other, (Quat, Fraction, int)):
-            c = _quat(other)
-            return HPoly([a * c for a in self.coeffs])
-        if not isinstance(other, HPoly):
+            other = HPoly.const(other)
+        elif not isinstance(other, HPoly):
             return NotImplemented
         if self.is_zero() or other.is_zero():
             return HPoly()
@@ -143,13 +151,15 @@ class HPoly:
         lead(divisor) * c; taking c = lead(divisor)^-1 times the leading
         coefficient of the running remainder cancels it exactly.
         """
+        if not isinstance(divisor, HPoly):
+            return NotImplemented
         if divisor.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         d = divisor.degree
         if self.degree < d:
             return HPoly(), self
         rem = list(self.coeffs)
-        lead_inv = divisor.coeffs[-1].inverse()
+        lead_inv = divisor.lead().inverse()
         quo = [Q_ZERO] * (self.degree - d + 1)
         for k in range(len(quo) - 1, -1, -1):
             factor = lead_inv * rem[k + d]

@@ -6,9 +6,11 @@ has full row rank at every point of the plane.  Given such a certificate,
 M x = H is solved constructively by Cramer's rule on each certified minor
 and a witness-weighted combination of the partial solutions.
 
-Determinants (det_bareiss) run on Gaussian-integer numerators: each row is
-cleared of denominators once, the whole elimination stays in Z[i][z], and
-the one reduction to lowest terms happens when the determinant is built.
+Determinants (det_bareiss) run on the integer form of CPoly: each row's
+numerators are brought to one denominator, the whole elimination stays in
+Z[i][z], and the determinant is built from its numerators and the signed
+product of the row denominators with one content reduction.  No GaussRat
+coefficient is made unless something reads the result's coeffs.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from typing import Iterable, Sequence
 from .cpoly import (
     CP_ZERO,
     CPoly,
-    _unscaled,
     _zi_exact_div,
     _zi_mul,
     _zi_sub,
@@ -128,7 +129,7 @@ def det_bareiss(m: PolyMatrix) -> CPoly:
     a = []
     scale = 1
     for i in range(n):
-        row = [e._scaled() for e in m.row(i)]
+        row = [e._ints for e in m.row(i)]
         d = lcm(*(de for de, _, _ in row))
         scale *= d
         a.append([
@@ -151,7 +152,7 @@ def det_bareiss(m: PolyMatrix) -> CPoly:
                 row_i[j] = _zi_exact_div(num, prev) if k else num
         prev = pivot
     re, im = a[n - 1][n - 1]
-    return CPoly(_unscaled(scale, re, im))
+    return CPoly._from_ints(scale, re, im)
 
 
 def rank_of_scalar(rows: list[list[GaussRat]]) -> int:

@@ -79,6 +79,8 @@ class GaussRat:
         )
 
     def __truediv__(self, other: "GaussRat") -> "GaussRat":
+        if not isinstance(other, GaussRat):
+            return NotImplemented
         return self * other.inverse()
 
     def conjugate(self) -> "GaussRat":
@@ -107,7 +109,6 @@ class GaussRat:
 
 
 GR_ZERO = GaussRat(0)
-GR_ONE = GaussRat(1)
 
 
 class Quat:

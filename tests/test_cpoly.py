@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from qcorona.cpoly import (
@@ -15,6 +15,7 @@ from qcorona.cpoly import (
     cpoly_from_rationals,
     gcd_monic,
 )
+from qcorona.polymatrix import PolyMatrix, det_bareiss
 from qcorona.scalars import GaussRat
 
 from conftest import cpolys, gauss_rats, nonzero_cpolys
@@ -67,6 +68,57 @@ def _bezout_lists():
 # fold order, the witness updates and the monic rescaling all show in it.
 BEZOUT_MULTI_DIGEST = "4a73eaf44524381cdff91b495181c201fbad728973dec3d24ec37fc019f9abcc"
 
+# Per-coefficient GaussRat arithmetic on coefficient lists, ascending; the
+# reference for the integer form in TestCanonicalForm.
+
+gauss_lists = st.lists(gauss_rats, max_size=4)
+
+
+def _stripped(cs):
+    cs = list(cs)
+    while cs and not cs[-1]:
+        cs.pop()
+    return tuple(cs)
+
+
+def _gr_mul(a, b):
+    out = [GaussRat(0)] * max(len(a) + len(b) - 1, 0)
+    for m, x in enumerate(a):
+        for n, y in enumerate(b):
+            out[m + n] = out[m + n] + x * y
+    return _stripped(out)
+
+
+def _gr_sub(a, b):
+    n = max(len(a), len(b))
+    pad = [GaussRat(0)] * n
+    return _stripped(x - y for x, y in zip(list(a) + pad[len(a):], list(b) + pad[len(b):]))
+
+
+def _gr_divmod(a, b):
+    """Long division of stripped lists, b nonzero."""
+    a, b = _stripped(a), _stripped(b)
+    if len(a) < len(b):
+        return (), a
+    rem, inv = list(a), b[-1].inverse()
+    quo = [GaussRat(0)] * (len(a) - len(b) + 1)
+    for k in range(len(quo) - 1, -1, -1):
+        c = rem[k + len(b) - 1] * inv
+        quo[k] = c
+        for m, y in enumerate(b):
+            rem[k + m] = rem[k + m] - c * y
+    return _stripped(quo), _stripped(rem[:len(b) - 1])
+
+
+def _gr_det3(rows):
+    """3 x 3 determinant by the rule of Sarrus."""
+    total = ()
+    for j in range(3):
+        plus = _gr_mul(_gr_mul(rows[0][j], rows[1][(j + 1) % 3]), rows[2][(j + 2) % 3])
+        minus = _gr_mul(_gr_mul(rows[0][j], rows[1][(j + 2) % 3]), rows[2][(j + 1) % 3])
+        total = _gr_sub(total, _gr_sub(minus, plus))
+    return total
+
 
 class TestArithmetic:
     def test_difference_of_squares(self):
@@ -113,11 +165,69 @@ class TestArithmetic:
         assert p * c == CPoly([x * c for x in p.coeffs])
         assert (p * c).coeffs[0] == GaussRat(Fraction(-27, 20), Fraction(-22, 5))
 
+    def test_other_operands_raise_type_error(self):
+        p = CPoly([1])
+        for op in (lambda: p + 1, lambda: p - 1, lambda: divmod(p, 1), lambda: p % 1):
+            with pytest.raises(TypeError):
+                op()
+
     @given(cpolys(3), nonzero_cpolys(3))
     def test_divmod_is_exact(self, a, b):
         q, r = divmod(a, b)
         assert q * b + r == a
         assert r.is_zero() or r.degree < b.degree
+
+
+class TestCanonicalForm:
+    """(d, re, im) is canonical: d > 0 and gcd(d, *re, *im) = 1.
+
+    Equality compares that form, so these tests also compare the lazily
+    built .coeffs with the GaussRats the arithmetic must produce.
+    """
+
+    @given(
+        st.lists(st.tuples(st.integers(-20, 20), st.integers(-20, 20)), max_size=4),
+        st.integers(1, 30),
+        st.integers(-6, 6).filter(bool),
+        st.integers(0, 2),
+    )
+    @example([], 1, -2, 1)
+    @example([(4, -6)], 2, -3, 0)
+    def test_scaled_numerators_give_the_same_polynomial(self, nums, d, k, zeros):
+        re = [x for x, _ in nums] + [0] * zeros
+        im = [y for _, y in nums] + [0] * zeros
+        p = CPoly._from_ints(k * d, [k * x for x in re], [k * y for y in im])
+        q = CPoly([GaussRat(Fraction(x, d), Fraction(y, d)) for x, y in zip(re, im)])
+        assert p == q
+        assert hash(p) == hash(q)
+        assert p.coeffs == q.coeffs == _stripped(q.coeffs)
+        assert (str(p), repr(p)) == (str(q), repr(q))
+
+    @given(gauss_lists, gauss_lists)
+    @example([GaussRat(2), GaussRat(0, 4)], [GaussRat(Fraction(1, 2))])
+    def test_arithmetic_matches_coefficientwise(self, xs, ys):
+        a, b = CPoly(xs), CPoly(ys)
+        for result, expected in (
+            (a * b, _gr_mul(xs, ys)),
+            (a - b, _gr_sub(xs, ys)),
+            (a.hat(), _stripped(x.conjugate() for x in xs)),
+        ):
+            assert result.coeffs == expected
+            assert result == CPoly(expected)
+        if b:
+            for result, expected in zip(divmod(a, b), _gr_divmod(xs, ys)):
+                assert result.coeffs == expected
+                assert result == CPoly(expected)
+
+    @settings(max_examples=40)
+    @given(st.lists(gauss_lists, min_size=9, max_size=9))
+    @example([[]] + [[GaussRat(k, 1)] for k in range(1, 9)])
+    def test_det_bareiss_matches_coefficientwise(self, entries):
+        rows = [entries[3 * i:3 * i + 3] for i in range(3)]
+        det = det_bareiss(PolyMatrix.from_rows([[CPoly(e) for e in row] for row in rows]))
+        expected = _gr_det3(rows)
+        assert det.coeffs == expected
+        assert det == CPoly(expected)
 
 
 class TestHat:

@@ -88,6 +88,23 @@ class TestStarProduct:
                 out[m + n] = out[m + n] + a * b
         assert f * g == HPoly(out)
 
+    @given(gapped_hpolys, quats, small_fracs, st.integers(-3, 3))
+    def test_scalar_product_matches_quat_products(self, f, c, r, k):
+        for s in (c, r, k):
+            assert f * s == HPoly([a * s for a in f.coeffs])
+
+    def test_lead(self):
+        assert PRODUCT_IJ.lead() == Q_ONE
+        assert HPoly([Q_I, Q_J]).lead() == Q_J
+        with pytest.raises(ValueError):
+            HPoly().lead()
+
+    def test_other_operands_raise_type_error(self):
+        f = HPoly([1])
+        for op in (lambda: f + 1, lambda: f - 1, lambda: divmod(f, 1), lambda: f + CPoly([1])):
+            with pytest.raises(TypeError):
+                op()
+
     @given(hpolys(4), hpolys(4), hpolys(4))
     def test_associativity(self, f, g, h):
         assert (f * g) * h == f * (g * h)

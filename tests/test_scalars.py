@@ -129,7 +129,7 @@ class TestGaussRat:
         assert GaussRat(2) * CPoly([1]) == CPoly([2])
 
     def test_other_operands_are_not_implemented(self):
-        for op in (operator.add, operator.sub, operator.mul):
+        for op in (operator.add, operator.sub, operator.mul, operator.truediv):
             with pytest.raises(TypeError):
                 op(GaussRat(1), 1)
 
