@@ -4,7 +4,10 @@ Star products, regular conjugation and symmetrization, right division and
 the extended right Euclidean algorithm, slice splitting, exact zero
 classification, Koszul syzygy matrices, minor-gcd full-rank certificates,
 and constructive solving of f1*h1 + ... + fn*hn = 1 for families with no
-common zeros.  All arithmetic is exact rational.
+common zeros.  All arithmetic is exact rational.  A quaternionic
+polynomial (HPoly) is stored as its slice split F + G*j, two polynomials
+over the Gaussian rationals (CPoly), and a CPoly as Gaussian-integer
+numerators over one denominator, so both rings share one integer kernel.
 """
 
 __version__ = "0.1.0"
@@ -24,7 +27,6 @@ from .hpoly import (
     HPoly,
     ReciprocalPair,
     RightBezout,
-    SplitPair,
     Sphere,
     ZeroSet,
     classify_zeros,
@@ -68,7 +70,6 @@ __all__ = [
     "ReciprocalPair",
     "RightBezout",
     "SliceForm",
-    "SplitPair",
     "Sphere",
     "SyzygyPair",
     "ZeroSet",

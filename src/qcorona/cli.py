@@ -50,8 +50,7 @@ def quat_json(q: Quat) -> list[str]:
 
 
 def hpoly_json(f: HPoly) -> list[list[str]]:
-    coeffs = f.coeffs if f.coeffs else (Quat(),)
-    return [quat_json(c) for c in coeffs]
+    return [quat_json(c) for c in f.coeffs or (Quat(),)]
 
 
 def cpoly_json(p: CPoly) -> list[list[str]]:
@@ -134,12 +133,11 @@ def cmd_eval(args) -> int:
 def cmd_split(args) -> int:
     inst = parse_instance(args.instance)
     f = _pick(inst, args.name)
-    pair = f.split()
     emit({
         "command": "split",
         "name": args.name,
-        "F": cpoly_json(pair.F),
-        "G": cpoly_json(pair.G),
+        "F": cpoly_json(f.F),
+        "G": cpoly_json(f.G),
     })
     return 0
 
@@ -165,7 +163,7 @@ def cmd_syzygy(args) -> int:
     inst = parse_instance(args.instance)
     pair = build_koszul(inst.fs)
     combined = pair.combined()
-    p = pair.p_vector()
+    p = pair.p
     w = pair.w_vector()
     a_ok = all(dot(p, pair.A.column(c)).is_zero() for c in range(pair.A.cols))
     b_ok = all(dot(w, pair.B.column(c)).is_zero() for c in range(pair.B.cols))

@@ -7,11 +7,13 @@ in their right ideal, so its zeros are exactly the family's common zeros,
 and they are named from its symmetrization.
 
 When g = 1 the paper's construction solves (koszul_solve), and it runs
-only on families Euclid has proved solvable: split the inputs onto the
-fixed slice, certify that the stacked Koszul matrix (A, -B) has full rank
-everywhere from the minors of the rank argument, solve the first split
-equation with a Bezout combination, correct it through the (A, -B) system
-so the second equation holds too, reassemble, extend off the slice and
+only on families Euclid has proved solvable.  Every HPoly is stored as its
+split f = F + G j on the fixed slice, so the construction reads the
+interleaved vector p = (F1, G1, ..., Fn, Gn) directly: certify that the
+stacked Koszul matrix (A, -B) has full rank everywhere from the minors of
+the rank argument, solve the first split equation <p, u> = 1 with a Bezout
+combination, correct u through the (A, -B) system so the second equation
+holds too, assemble each h_l = H_l + K_l j from the corrected vector and
 re-verify the identity by exact coefficient equality.  Those minors are
 coprime for every family without common zeros, so a certificate that
 fails to close is an internal error, never an obstruction.
@@ -29,7 +31,6 @@ from .hpoly import (
     RightBezout,
     Sphere,
     SphereZero,
-    SplitPair,
     real_poly_sphere_factors,
     right_bezout,
     zeros_on_sphere,
@@ -46,7 +47,6 @@ from .syzygy import (
     build_koszul,
     certificate_column_order,
     hat_swap,
-    interleave_splits,
 )
 
 
@@ -126,7 +126,7 @@ def decide(inst: CoronaInstance) -> Union[RightBezout, CommonZeroObstruction]:
     inst.check_not_all_zero()
     euclid = right_bezout(inst.fs)
     if euclid.gcd != HP_ONE:
-        return CommonZeroObstruction(euclid.gcd.symmetrize().split().F, euclid.gcd)
+        return CommonZeroObstruction(euclid.gcd.symmetrize().F, euclid.gcd)
     return euclid
 
 
@@ -142,13 +142,12 @@ def solve_corona(inst: CoronaInstance) -> Union[CoronaSolution, CommonZeroObstru
 # The paper's Koszul construction
 
 
-def particular_solution(splits: Sequence[SplitPair]) -> list[CPoly]:
-    """Vector u with <(F1, G1, ..., Fn, Gn), u> = 1 from a Bezout combination.
+def particular_solution(p: Sequence[CPoly]) -> list[CPoly]:
+    """Vector u with <p, u> = 1 for p = (F1, G1, ..., Fn, Gn), from a Bezout combination.
 
     Odd slots of u play the H components, even slots the negated hatted K
     components of the first split equation.
     """
-    p = interleave_splits(splits)
     gcd, witnesses = bezout_multi(p)
     if not gcd.is_one():
         raise ValueError(
@@ -158,7 +157,7 @@ def particular_solution(splits: Sequence[SplitPair]) -> list[CPoly]:
 
 
 def correct_and_assemble(
-    splits: Sequence[SplitPair],
+    p: Sequence[CPoly],
     u: Sequence[CPoly],
     pair: SyzygyPair,
     cert: FullRankCertificate,
@@ -168,7 +167,8 @@ def correct_and_assemble(
     Solving (A, -B) (alpha; beta) = hat_swap(u) and adding A*hat(beta) to u
     leaves the first equation untouched (columns of A are syzygies) and
     makes the hat-swapped vector land in the column span of A, which is the
-    second equation.  Components are then reassembled and extended.
+    second equation.  Each h_l is then assembled from its split
+    H_l + K_l j.
     """
     h_rhs = hat_swap(u)
     x = solve_full_rank(pair.combined(), h_rhs, cert)
@@ -176,18 +176,12 @@ def correct_and_assemble(
     correction = pair.A.mul_vector([b.hat() for b in beta])
     v = [ui + ci for ui, ci in zip(u, correction)]
 
-    p = interleave_splits(splits)
     first = dot(p, v)
     second = dot(p, hat_swap(v))
     if not first.is_one() or not second.is_zero():
         raise InternalCheckError("corrected vector does not satisfy the split system")
 
-    hs = []
-    for ell in range(len(splits)):
-        h_comp = v[2 * ell]
-        k_comp = (-v[2 * ell + 1]).hat()
-        hs.append(SplitPair(h_comp, k_comp).extend())
-    return hs
+    return [HPoly.from_split(h, (-k).hat()) for h, k in zip(v[0::2], v[1::2])]
 
 
 def koszul_solve(inst: CoronaInstance) -> CoronaSolution:
@@ -206,8 +200,8 @@ def koszul_solve(inst: CoronaInstance) -> CoronaSolution:
         raise InternalCheckError(
             f"rank-argument minors share the factor {cert.gcd} after {cert.minors_examined} minors"
         )
-    u = particular_solution(pair.splits)
-    hs = correct_and_assemble(pair.splits, u, pair, cert)
+    u = particular_solution(pair.p)
+    hs = correct_and_assemble(pair.p, u, pair, cert)
     if not verify_identity(inst.fs, hs):
         raise InternalCheckError("assembled solution failed the star identity")
     return CoronaSolution(tuple(hs), cert, None)

@@ -19,9 +19,12 @@ hashing compare it directly.  Products (by a polynomial or by a scalar),
 sums, differences, negation, hat and both parts of divmod run on the
 numerators in plain integer arithmetic and build their result from
 (d, re, im).  Their GaussRat coefficients (``coeffs``) are built only
-when something reads them, and then cached.  The coefficient-list helpers
-``_zi_mul``, ``_zi_sub`` and ``_zi_exact_div`` work on Z[i][z] directly;
-``polymatrix.det_bareiss`` runs its whole elimination on them.
+when something reads them, and then cached.  ``from_parts`` and ``parts``
+build a CPoly from, and read one coefficient as, Fraction parts without
+any GaussRat; an HPoly keeps its split F + G*j through them.  The
+coefficient-list helpers ``_zi_mul``, ``_zi_sub`` and ``_zi_exact_div``
+work on Z[i][z] directly; ``polymatrix.det_bareiss`` runs its whole
+elimination on them.
 """
 
 from __future__ import annotations
@@ -43,6 +46,16 @@ def _coeff(value: CoeffLike) -> GaussRat:
     if isinstance(value, GaussRat):
         return value
     return GaussRat(value)
+
+
+def _scaled(re: Sequence[Fraction], im: Sequence[Fraction]) -> tuple[int, list[int], list[int]]:
+    """(d, xs, ys) with re[m] = xs[m] / d and im[m] = ys[m] / d, d the lcm of the denominators."""
+    d = lcm(*(x.denominator for x in re), *(y.denominator for y in im))
+    return (
+        d,
+        [x.numerator * (d // x.denominator) for x in re],
+        [y.numerator * (d // y.denominator) for y in im],
+    )
 
 
 def _unscaled(d: int, re: Sequence[int], im: Sequence[int]) -> list[GaussRat]:
@@ -124,13 +137,13 @@ class CPoly:
 
     def __init__(self, coeffs: Iterable[CoeffLike] = ()):
         cs = [_coeff(c) for c in coeffs]
-        d = lcm(*(x.denominator for c in cs for x in (c.re, c.im)))
-        self._set_ints(
-            d,
-            [c.re.numerator * (d // c.re.denominator) for c in cs],
-            [c.im.numerator * (d // c.im.denominator) for c in cs],
-        )
+        self._set_ints(*_scaled([c.re for c in cs], [c.im for c in cs]))
         object.__setattr__(self, "_coeffs", tuple(cs[:len(self._ints[1])]))
+
+    @classmethod
+    def from_parts(cls, re: Sequence[Fraction], im: Sequence[Fraction]) -> "CPoly":
+        """The polynomial with coefficients re[m] + im[m]*i; builds no GaussRat."""
+        return cls._from_ints(*_scaled(re, im))
 
     @classmethod
     def _from_ints(cls, d: int, re: Sequence[int], im: Sequence[int]) -> "CPoly":
@@ -189,10 +202,16 @@ class CPoly:
         return self._ints == (1, (1,), (0,))
 
     def lead(self) -> GaussRat:
-        d, re, im = self._ints
-        if not re:
+        if not self:
             raise ValueError("zero polynomial has no leading coefficient")
-        return GaussRat(Fraction(re[-1], d), Fraction(im[-1], d))
+        return GaussRat(*self.parts(self.degree))
+
+    def parts(self, m: int) -> tuple[Fraction, Fraction]:
+        """Real and imaginary part of coefficient m, read from the integer form."""
+        d, re, im = self._ints
+        if 0 <= m < len(re):
+            return Fraction(re[m], d), Fraction(im[m], d)
+        return Fraction(0), Fraction(0)
 
     def coeff(self, m: int) -> GaussRat:
         return self.coeffs[m] if 0 <= m <= self.degree else GR_ZERO

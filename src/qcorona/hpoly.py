@@ -6,18 +6,26 @@ has real coefficients.  The slice is fixed once and for all: splittings use
 the plane through i, with j as the orthogonal unit, so every split is
 canonical and directly comparable.
 
-The star product runs on integer quadruples: each factor is written over
-one common denominator (computed per call, not cached), the Hamilton
-products are convolved in plain integers, and each result coefficient is
-reduced to lowest terms once.  A scalar factor takes the same route as a
-constant polynomial.  Right division still uses ``Quat`` arithmetic.
+An HPoly is stored as that split: two CPolys F and G with every
+coefficient a_m = F_m + G_m * j.  Since j z = hat(z) j for z on the slice,
+for f = F + G j and g = H + K j
+
+    f + g = (F + H) + (G + K) j
+    f * g = (F H - G hat(K)) + (F K + G hat(H)) j
+    f^c   = hat(F) - G j,
+
+so H[q] runs on the Gaussian-integer arithmetic of cpoly and has no
+arithmetic kernel of its own.  A scalar factor takes the same route as a
+constant polynomial.  The Quat coefficients (``coeffs``) are built from the
+integer form of (F, G) on every read and are not cached.
 
 Because the variable is central and every nonzero coefficient is
 invertible, H[q] has a right division algorithm, which is what divmod on
-an HPoly computes: divmod(a, b) = (q, r) with a = b*q + r.  The extended
-Euclidean algorithm is not repeated here: right_bezout runs the one in
-cpoly (bezout_pair and bezout_fold) on HPolys, which yields a monic
-generator of the right ideal of any family together with Bezout witnesses.
+an HPoly computes: divmod(a, b) = (q, r) with a = b*q + r, as a loop of
+ring operations on (F, G).  The extended Euclidean algorithm is not
+repeated here: right_bezout runs the one in cpoly (bezout_pair and
+bezout_fold) on HPolys, which yields a monic generator of the right ideal
+of any family together with Bezout witnesses.
 
 Zero sets are computed exactly.  A sphere of quaternions with center x and
 squared radius y^2 is identified by the rational pair (x, y^2); isolated
@@ -31,10 +39,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Iterable, Optional, Sequence, Union
 
-from .cpoly import CP_ONE, CPoly, bezout_fold
+from .cpoly import CP_ONE, CP_ZERO, CPoly, bezout_fold
 from .scalars import GaussRat, Q_ONE, Q_ZERO, Quat, _frac, rational_sqrt
 
 QuatLike = Union[Quat, Fraction, int]
@@ -46,28 +53,28 @@ def _quat(value: QuatLike) -> Quat:
     return Quat(value)
 
 
-def _integer_quadruples(f: HPoly) -> tuple[int, list[tuple[int, int, int, int]]]:
-    """(d, xs) with coefficient m of f equal to xs[m] / d componentwise, d > 0."""
-    d = lcm(*(x.denominator for c in f.coeffs for x in c.components()))
-    return d, [
-        tuple(x.numerator * (d // x.denominator) for x in c.components()) for c in f.coeffs
-    ]
-
-
 class HPoly:
-    """Polynomial with quaternion coefficients, ascending, no trailing zeros.
+    """Polynomial with quaternion coefficients, stored as its split F + G*j.
 
     Powers of the variable stand on the left, coefficients on the right;
-    multiplication is the star product.
+    multiplication is the star product.  F and G are CPolys in canonical
+    form, so (F, G) is canonical too.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("F", "G")
 
     def __init__(self, coeffs: Iterable[QuatLike] = ()):
         cs = [_quat(c) for c in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        object.__setattr__(self, "F", CPoly.from_parts([c.x0 for c in cs], [c.x1 for c in cs]))
+        object.__setattr__(self, "G", CPoly.from_parts([c.x2 for c in cs], [c.x3 for c in cs]))
+
+    @classmethod
+    def from_split(cls, F: CPoly, G: CPoly) -> "HPoly":
+        """The polynomial F + G*j, with coefficient m equal to F_m + G_m * j."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "F", F)
+        object.__setattr__(f, "G", G)
+        return f
 
     def __setattr__(self, name, value):
         raise AttributeError("HPoly is immutable")
@@ -81,68 +88,58 @@ class HPoly:
         return cls([0, 1])
 
     @property
+    def coeffs(self) -> tuple[Quat, ...]:
+        """The coefficients as Quats, ascending, built from (F, G) on every read."""
+        return tuple(self.coeff(m) for m in range(self.degree + 1))
+
+    @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        """Degree of the polynomial; -1 for the zero polynomial."""
+        return max(self.F.degree, self.G.degree)
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self
 
     def lead(self) -> Quat:
-        if not self.coeffs:
+        if not self:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return self.coeff(self.degree)
 
     def coeff(self, m: int) -> Quat:
-        return self.coeffs[m] if 0 <= m < len(self.coeffs) else Q_ZERO
+        return Quat(*self.F.parts(m), *self.G.parts(m))
 
     def __eq__(self, other):
         if not isinstance(other, HPoly):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.F == other.F and self.G == other.G
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.F, self.G))
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.F) or bool(self.G)
 
     def __add__(self, other: "HPoly") -> "HPoly":
         if not isinstance(other, HPoly):
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return HPoly([self.coeff(m) + other.coeff(m) for m in range(n)])
+        return HPoly.from_split(self.F + other.F, self.G + other.G)
 
     def __sub__(self, other: "HPoly") -> "HPoly":
         if not isinstance(other, HPoly):
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return HPoly([self.coeff(m) - other.coeff(m) for m in range(n)])
+        return HPoly.from_split(self.F - other.F, self.G - other.G)
 
     def __neg__(self) -> "HPoly":
-        return HPoly([-c for c in self.coeffs])
+        return HPoly.from_split(-self.F, -self.G)
 
     def __mul__(self, other):
-        """Star product: coefficient convolution c_n = sum a_m b_{n-m}."""
+        """Star product (F + G j)(H + K j) = (F H - G hat(K)) + (F K + G hat(H)) j."""
         if isinstance(other, (Quat, Fraction, int)):
             other = HPoly.const(other)
         elif not isinstance(other, HPoly):
             return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return HPoly()
-        da, xs = _integer_quadruples(self)
-        db, ys = _integer_quadruples(other)
-        out = [[0, 0, 0, 0] for _ in range(len(xs) + len(ys) - 1)]
-        for m, (a0, a1, a2, a3) in enumerate(xs):
-            if not (a0 or a1 or a2 or a3):
-                continue
-            for c, (b0, b1, b2, b3) in zip(out[m:], ys):
-                # Hamilton product, as in Quat.__mul__.
-                c[0] += a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3
-                c[1] += a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2
-                c[2] += a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1
-                c[3] += a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0
-        d = da * db
-        return HPoly([Quat(*(Fraction(x, d) for x in c)) for c in out])
+        F, G, H, K = self.F, self.G, other.F, other.G
+        return HPoly.from_split(F * H - G * K.hat(), F * K + G * H.hat())
 
     def __divmod__(self, divisor: "HPoly") -> tuple["HPoly", "HPoly"]:
         """Right division: (Q, R) with self = divisor * Q + R and deg R < deg divisor.
@@ -153,42 +150,30 @@ class HPoly:
         """
         if not isinstance(divisor, HPoly):
             return NotImplemented
-        if divisor.is_zero():
+        if not divisor:
             raise ZeroDivisionError("polynomial division by zero")
-        d = divisor.degree
-        if self.degree < d:
-            return HPoly(), self
-        rem = list(self.coeffs)
         lead_inv = divisor.lead().inverse()
-        quo = [Q_ZERO] * (self.degree - d + 1)
-        for k in range(len(quo) - 1, -1, -1):
-            factor = lead_inv * rem[k + d]
-            if not factor:
-                continue
-            quo[k] = factor
-            for m, b in enumerate(divisor.coeffs):
-                rem[k + m] = rem[k + m] - b * factor
-        return HPoly(quo), HPoly(rem)
+        quo, rem = HPoly(), self
+        while rem.degree >= divisor.degree:
+            term = HPoly([Q_ZERO] * (rem.degree - divisor.degree) + [lead_inv * rem.lead()])
+            quo, rem = quo + term, rem - divisor * term
+        return quo, rem
 
     def conjugate(self) -> "HPoly":
-        """Regular conjugate: quaternion-conjugate every coefficient."""
-        return HPoly([c.conjugate() for c in self.coeffs])
+        """Regular conjugate: quaternion-conjugate every coefficient, hat(F) - G j."""
+        return HPoly.from_split(self.F.hat(), -self.G)
 
     def symmetrize(self) -> "HPoly":
-        """f * f^c, a polynomial with real coefficients."""
-        return self * self.conjugate()
+        """f * f^c = F hat(F) + G hat(G), a polynomial with real coefficients."""
+        F, G = self.F, self.G
+        return HPoly.from_split(F * F.hat() + G * G.hat(), CP_ZERO)
 
     def has_real_coeffs(self) -> bool:
-        return all(c.is_real() for c in self.coeffs)
+        return self.F.has_real_coeffs() and not self.G
 
-    def split(self) -> "SplitPair":
+    def split(self) -> tuple[CPoly, CPoly]:
         """Slice components (F, G) with every coefficient a_m = F_m + G_m * j."""
-        alphas, betas = [], []
-        for c in self.coeffs:
-            alpha, beta = c.slice_pair()
-            alphas.append(alpha)
-            betas.append(beta)
-        return SplitPair(CPoly(alphas), CPoly(betas))
+        return self.F, self.G
 
     def eval(self, q: Quat) -> Quat:
         """Evaluate sum q^m a_m, powers on the left of the coefficients."""
@@ -205,18 +190,13 @@ class HPoly:
         """
         if not divisor.has_real_coeffs():
             raise ValueError("divisor must have real coefficients")
-        if divisor.is_zero():
+        if not divisor:
             raise ZeroDivisionError("division by zero polynomial")
-        num = self.split()
-        den = divisor.split().F
-        return SplitPair(num.F.exact_div(den), num.G.exact_div(den)).extend()
+        return HPoly.from_split(self.F.exact_div(divisor.F), self.G.exact_div(divisor.F))
 
     def __str__(self):
-        if not self.coeffs:
-            return "0"
         terms = []
-        for m in range(self.degree, -1, -1):
-            c = self.coeff(m)
+        for m, c in reversed(list(enumerate(self.coeffs))):
             if not c:
                 continue
             if m == 0:
@@ -226,7 +206,7 @@ class HPoly:
             else:
                 head = f"q^{m}"
                 terms.append(head if c == Q_ONE else f"{head}({c})")
-        return " + ".join(terms)
+        return " + ".join(terms) or "0"
 
     def __repr__(self):
         return f"HPoly([{', '.join(repr(c) for c in self.coeffs)}])"
@@ -262,21 +242,6 @@ def right_bezout(fs: Sequence[HPoly]) -> RightBezout:
     remainders: list[HPoly] = []
     g, ws = bezout_fold(fs, remainders)
     return RightBezout(g, tuple(ws), tuple(remainders))
-
-
-@dataclass(frozen=True)
-class SplitPair:
-    """Slice components of a quaternionic polynomial on the fixed plane."""
-
-    F: CPoly
-    G: CPoly
-
-    def extend(self) -> HPoly:
-        """Reassemble the unique quaternionic polynomial with these components."""
-        n = max(len(self.F.coeffs), len(self.G.coeffs))
-        return HPoly([
-            Quat.from_slice_pair(self.F.coeff(m), self.G.coeff(m)) for m in range(n)
-        ])
 
 
 def star_eval_pointwise(f: HPoly, g: HPoly, q: Quat) -> Quat:
@@ -480,7 +445,7 @@ def classify_zeros(f: HPoly) -> ZeroSet:
     """
     if f.is_zero():
         raise ValueError("zero polynomial has no meaningful zero set")
-    spheres, residual = real_poly_sphere_factors(f.symmetrize().split().F)
+    spheres, residual = real_poly_sphere_factors(f.symmetrize().F)
     spherical: list[Sphere] = []
     isolated: list[tuple[Sphere, Quat]] = []
     for sphere, _ in spheres:

@@ -125,15 +125,6 @@ class Quat:
     def __setattr__(self, name, value):
         raise AttributeError("Quat is immutable")
 
-    @classmethod
-    def from_slice_pair(cls, alpha: GaussRat, beta: GaussRat) -> "Quat":
-        """Reassemble alpha + beta*j from two slice-plane components."""
-        return cls(alpha.re, alpha.im, beta.re, beta.im)
-
-    def slice_pair(self) -> tuple[GaussRat, GaussRat]:
-        """Split into (alpha, beta) with self = alpha + beta*j."""
-        return GaussRat(self.x0, self.x1), GaussRat(self.x2, self.x3)
-
     def components(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
         return (self.x0, self.x1, self.x2, self.x3)
 
@@ -149,10 +140,14 @@ class Quat:
         return bool(self.x0) or bool(self.x1) or bool(self.x2) or bool(self.x3)
 
     def __add__(self, other: "Quat") -> "Quat":
+        if not isinstance(other, Quat):
+            return NotImplemented
         return Quat(self.x0 + other.x0, self.x1 + other.x1,
                     self.x2 + other.x2, self.x3 + other.x3)
 
     def __sub__(self, other: "Quat") -> "Quat":
+        if not isinstance(other, Quat):
+            return NotImplemented
         return Quat(self.x0 - other.x0, self.x1 - other.x1,
                     self.x2 - other.x2, self.x3 - other.x3)
 

@@ -1,12 +1,14 @@
 """Koszul syzygy matrices for split polynomial vectors, and their quaternionic
 counterparts.
 
-For n quaternionic polynomials the splits interleave into the length-2n
-vector P = (F1, G1, ..., Fn, Gn).  Matrix A collects the standard Koszul
-relations of P, one column per index pair; matrix B is obtained from A by
-the hat-swap operator and collects (up to sign) the Koszul relations of the
-swapped vector W = (-hat(G1), hat(F1), ..., -hat(Gn), hat(Fn)).  Taking B
-columnwise from A is exactly what makes the linkage identity
+An HPoly f_l is stored as its split F_l + G_l j, so a family of n
+quaternionic polynomials gives the length-2n vector
+P = (F1, G1, ..., Fn, Gn) directly; SyzygyPair keeps it as p.  Matrix A
+collects the standard Koszul relations of P, one column per index pair;
+matrix B is obtained from A by the hat-swap operator and collects (up to
+sign) the Koszul relations of the swapped vector
+W = (-hat(G1), hat(F1), ..., -hat(Gn), hat(Fn)).  Taking B columnwise from
+A is exactly what makes the linkage identity
 hat_swap(A * hat(beta)) = B * beta hold with no sign bookkeeping.
 """
 
@@ -17,7 +19,7 @@ from itertools import combinations
 from typing import Optional, Sequence
 
 from .cpoly import CP_ZERO, CPoly, dot
-from .hpoly import HPoly, SplitPair
+from .hpoly import HPoly
 from .polymatrix import PolyMatrix, nullity_at
 from .scalars import GaussRat
 
@@ -38,15 +40,6 @@ def hat_swap(v: Sequence[CPoly]) -> list[CPoly]:
     return out
 
 
-def interleave_splits(splits: Sequence[SplitPair]) -> list[CPoly]:
-    """The vector (F1, G1, ..., Fn, Gn)."""
-    flat = []
-    for s in splits:
-        flat.append(s.F)
-        flat.append(s.G)
-    return flat
-
-
 def koszul_matrix(vec: Sequence[CPoly]) -> PolyMatrix:
     """Matrix whose columns are the standard relations v_s e_r - v_r e_s.
 
@@ -64,19 +57,19 @@ def koszul_matrix(vec: Sequence[CPoly]) -> PolyMatrix:
 
 @dataclass(frozen=True)
 class SyzygyPair:
-    """The two Koszul matrices attached to a family of quaternionic polynomials."""
+    """The two Koszul matrices attached to a family of quaternionic polynomials.
+
+    p is the interleaved split vector (F1, G1, ..., Fn, Gn).
+    """
 
     A: PolyMatrix
     B: PolyMatrix
     n: int
-    splits: tuple[SplitPair, ...]
+    p: tuple[CPoly, ...]
     pairs: tuple[tuple[int, int], ...]
 
-    def p_vector(self) -> list[CPoly]:
-        return interleave_splits(self.splits)
-
     def w_vector(self) -> list[CPoly]:
-        return hat_swap(self.p_vector())
+        return hat_swap(self.p)
 
     def combined(self) -> PolyMatrix:
         """The stacked system matrix (A, -B)."""
@@ -86,21 +79,20 @@ class SyzygyPair:
 def build_koszul(fs: Sequence[HPoly]) -> SyzygyPair:
     """Assemble A and B for the given polynomials.
 
-    A is the Koszul matrix of the interleaved splits; B applies hat_swap to
+    A is the Koszul matrix of the interleaved splits P; B applies hat_swap to
     each column of A, which lands on signed Koszul relations of the swapped
     vector in the order that makes the linkage identity exact.
     """
     if not fs:
         raise ValueError("need at least one polynomial")
     n = len(fs)
-    splits = tuple(f.split() for f in fs)
-    p = interleave_splits(splits)
+    p = tuple(c for f in fs for c in f.split())
     a = koszul_matrix(p)
     b_cols = [hat_swap(a.column(c)) for c in range(a.cols)]
     b = PolyMatrix(a.rows, a.cols,
                    [b_cols[c][r] for r in range(a.rows) for c in range(a.cols)])
     pairs = tuple(combinations(range(2 * n), 2))
-    return SyzygyPair(a, b, n, splits, pairs)
+    return SyzygyPair(a, b, n, p, pairs)
 
 
 def certificate_column_order(pair: SyzygyPair):

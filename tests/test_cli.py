@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -205,6 +206,49 @@ def test_solve_dup_stdout_is_pinned(capsys):
     code, out, _ = run(capsys, "solve", INSTANCES / "dup.inst")
     assert code == 1
     assert out == GOLDEN_SOLVE_DUP.read_text(encoding="utf-8")
+
+
+def _inspection_runs(command):
+    """argv lists of one inspection command over every shipped instance."""
+    for path in sorted(INSTANCES.glob("*.inst")):
+        names = parse_instance(str(path)).names
+        if command == "star":
+            for left in names:
+                for right in names:
+                    yield ["star", path, left, right]
+        elif command == "eval":
+            for name in names:
+                for point in ("[0, 0, 1, 0]", "[1/2, -1, 2, 3/4]"):
+                    yield ["eval", path, name, point]
+        elif command in ("syzygy", "rank"):
+            extra = ["--sample-points", "4"] if command == "rank" else []
+            yield [command, path, *extra]
+        else:
+            for name in names:
+                yield [command, path, name]
+
+
+# sha256 over the stdout of every run of _inspection_runs(command), in order.
+INSPECTION_DIGESTS = {
+    "star": "79a3519d587c1993a69f5a3ab4ab43b0c39fa166f2fa9c8a5a56cd6a7daf948b",
+    "conj": "8a4a47efe3854052aba1d253f50e3dbc75370f6871b12ca5e0b6cd51e6fac6ef",
+    "sym": "9d66f7be76261eeb95c7ae37b1b57b44ffaeac749be58c4ed3696f07203110f8",
+    "split": "e53db1c5a60e77b191f0400249163da2420ed50feed29f67287b428f83a3e496",
+    "eval": "8fea00215fe2bd2d2ab233782924e9e670174bbe4141383f220f7cb7fd596044",
+    "zeros": "6e147c083c2ad595f5aa8ff050d330fa0e81c1c0cf155556412b58c8eb7eec91",
+    "syzygy": "ce230f9964d3484eaa646ba06f222a2a2aebfb8d3869c9cf9ae47daa1a3675e2",
+    "rank": "0e0f2c225cc73a858141794bf49fa7d3b5d38d48eaabe28ad8844836a438b9b9",
+}
+
+
+@pytest.mark.parametrize("command", sorted(INSPECTION_DIGESTS))
+def test_inspection_stdout_is_pinned(capsys, command):
+    h = hashlib.sha256()
+    for argv in _inspection_runs(command):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        h.update(out.encode("utf-8"))
+    assert h.hexdigest() == INSPECTION_DIGESTS[command]
 
 
 def test_importing_the_cli_leaves_sympy_unloaded():

@@ -21,7 +21,7 @@ from qcorona.corona import (
 )
 from qcorona.formats import parse_instance, serialize_solution
 from qcorona.cpoly import CPoly, bezout_multi
-from qcorona.hpoly import HP_ONE, HP_Q, HPoly, SplitPair, real_poly_sphere_factors, right_bezout
+from qcorona.hpoly import HP_ONE, HP_Q, HPoly, real_poly_sphere_factors, right_bezout
 from qcorona.polymatrix import RankObstruction, minor_gcd_certificate
 from qcorona.scalars import Q_I, Q_J, Q_K, Quat
 from qcorona.syzygy import build_koszul, certificate_column_order
@@ -135,14 +135,45 @@ class TestRightBezout:
         # and witnesses are the C[z] ones, with zero G parts.
         for fs in _slice_families():
             result = right_bezout(fs)
-            g, ws = bezout_multi([f.split().F for f in fs])
-            assert result.gcd.split() == SplitPair(g, CPoly())
-            assert [w.split() for w in result.witnesses] == [SplitPair(w, CPoly()) for w in ws]
+            g, ws = bezout_multi([f.F for f in fs])
+            assert result.gcd.split() == (g, CPoly())
+            assert [w.split() for w in result.witnesses] == [(w, CPoly()) for w in ws]
 
     def test_shared_left_factor_is_the_generator(self):
         c = Quat(1, 2, 0, -1)
         result = right_bezout([q_minus(Q_I), q_minus(Q_I) * q_minus(Q_J), q_minus(Q_I) * HPoly.const(c)])
         assert result.gcd == q_minus(Q_I)
+
+
+def _euclid_families():
+    """Seeded families for the right_bezout digest.
+
+    Coprime families for n in {2, 3, 4} at low degree, one pair of degree
+    20, and coprime families multiplied on the left by a shared factor
+    q - c, so the generator is not one.
+    """
+    rng = random.Random("right_bezout")
+    families = [
+        list(generate.random_coprime_instance(rng, n, d).fs)
+        for n in (2, 3, 4) for d in (1, 2, 3)
+    ]
+    families.append(list(generate.random_coprime_instance(rng, 2, 20).fs))
+    for n, d in ((2, 2), (3, 1)):
+        shared = q_minus(generate.random_nonzero_quat(rng))
+        families.append([shared * f for f in generate.random_coprime_instance(rng, n, d).fs])
+    return families
+
+
+# sha256 over repr(right_bezout(fs)) for every family of _euclid_families():
+# generator, witnesses and every monic remainder.
+RIGHT_BEZOUT_DIGEST = "66491fad917f918b87fa68f5dfce005b73cd439cc3bc1320da66888ccc25d454"
+
+
+def test_right_bezout_is_pinned():
+    h = hashlib.sha256()
+    for fs in _euclid_families():
+        h.update(repr(right_bezout(fs)).encode("utf-8"))
+    assert h.hexdigest() == RIGHT_BEZOUT_DIGEST
 
 
 class TestSolveCorona:
@@ -165,7 +196,7 @@ class TestSolveCorona:
         result = solve_corona(inst)
         assert isinstance(result, CommonZeroObstruction)
         assert result.generator == q_minus(Q_J)
-        assert result.gcd == SPHERE_I.split().F
+        assert result.gcd == SPHERE_I.F
 
     def test_shared_point_of_three_is_named(self):
         qi = q_minus(Q_I)

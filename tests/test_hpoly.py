@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from qcorona.cpoly import CPoly, cpoly_from_rationals
@@ -12,7 +12,6 @@ from qcorona.hpoly import (
     HP_ONE,
     HP_Q,
     HPoly,
-    SplitPair,
     Sphere,
     classify_zeros,
     eval_on_sphere,
@@ -36,18 +35,6 @@ small_fracs = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 gapped_hpolys = st.lists(st.one_of(st.just(Q_ZERO), quats), max_size=5).map(HPoly)
 
 
-def star_split(f: SplitPair, g: SplitPair) -> SplitPair:
-    """Star product expressed on slice components.
-
-    For f = F + G j and g = H + K j the product splits as
-    (F H - G hat(K)) + (F K + G hat(H)) j.  Used as an independent route to
-    the coefficient convolution.
-    """
-    F, G = f.F, f.G
-    H, K = g.F, g.G
-    return SplitPair(F * H - G * K.hat(), F * K + G * H.hat())
-
-
 def extension_eval(f: HPoly, x: Fraction, y: Fraction, axis: Quat) -> Quat:
     """Evaluate f at x + y*axis from its two values on the fixed slice.
 
@@ -64,10 +51,6 @@ class TestStarProduct:
     def test_basic_convolution(self):
         assert F_QI * F_QJ == PRODUCT_IJ
 
-    def test_split_route_agrees(self):
-        # Independent route: multiply on slice components and extend back.
-        assert star_split(F_QI.split(), F_QJ.split()).extend() == PRODUCT_IJ
-
     def test_one_is_neutral(self):
         assert PRODUCT_IJ * HP_ONE == PRODUCT_IJ
         assert HP_ONE * PRODUCT_IJ == PRODUCT_IJ
@@ -76,12 +59,8 @@ class TestStarProduct:
         real = HPoly([1, 0, 1])  # q^2 + 1
         assert real * F_QJ == F_QJ * real
 
-    @given(hpolys(3), hpolys(3))
-    def test_split_formula_matches_convolution(self, f, g):
-        assert star_split(f.split(), g.split()).extend() == f * g
-
     @given(gapped_hpolys, gapped_hpolys)
-    def test_integer_kernel_matches_quat_products(self, f, g):
+    def test_matches_per_coefficient_quat_convolution(self, f, g):
         out = [Q_ZERO] * max(len(f.coeffs) + len(g.coeffs) - 1, 0)
         for m, a in enumerate(f.coeffs):
             for n, b in enumerate(g.coeffs):
@@ -135,6 +114,10 @@ class TestConjugateAndSymmetrization:
         real = HPoly([-2, 1])
         assert real.symmetrize() == real * real
 
+    @given(gapped_hpolys)
+    def test_conjugate_matches_per_coefficient_quat_conjugation(self, f):
+        assert f.conjugate() == HPoly([c.conjugate() for c in f.coeffs])
+
     @given(hpolys(4), hpolys(4))
     def test_conjugate_antihomomorphism(self, f, g):
         assert (f * g).conjugate() == g.conjugate() * f.conjugate()
@@ -154,39 +137,66 @@ class TestConjugateAndSymmetrization:
 
 class TestSplitExtend:
     def test_split_examples(self):
-        pair = F_QJ.split()
-        assert pair.F == CPoly([GaussRat(0), GaussRat(1)])
-        assert pair.G == CPoly([GaussRat(-1)])
+        F, G = F_QJ.split()
+        assert F == CPoly([GaussRat(0), GaussRat(1)])
+        assert G == CPoly([GaussRat(-1)])
 
-        pair = HPoly([1, 0, 1]).split()
-        assert pair.F == cpoly_from_rationals([1, 0, 1])
-        assert pair.G.is_zero()
+        F, G = HPoly([1, 0, 1]).split()
+        assert F == cpoly_from_rationals([1, 0, 1])
+        assert G.is_zero()
 
-        pair = HPoly([0, Q_K]).split()
-        assert pair.F.is_zero()
-        assert pair.G == CPoly([GaussRat(0), GaussRat(0, 1)])
+        F, G = HPoly([0, Q_K]).split()
+        assert F.is_zero()
+        assert G == CPoly([GaussRat(0), GaussRat(0, 1)])
 
     def test_extend_examples(self):
-        assert SplitPair(CPoly([GaussRat(0), GaussRat(1)]), CPoly([GaussRat(-1)])).extend() == F_QJ
-        assert SplitPair(cpoly_from_rationals([1, 0, 1]), CPoly()).extend() == HPoly([1, 0, 1])
+        assert HPoly.from_split(CPoly([GaussRat(0), GaussRat(1)]), CPoly([GaussRat(-1)])) == F_QJ
+        assert HPoly.from_split(cpoly_from_rationals([1, 0, 1]), CPoly()) == HPoly([1, 0, 1])
 
     @given(hpolys(4))
     def test_roundtrip(self, f):
-        assert f.split().extend() == f
+        assert HPoly.from_split(*f.split()) == f
 
     @given(hpolys(4))
     def test_split_of_conjugate(self, f):
-        pair = f.split()
-        conj_pair = f.conjugate().split()
-        assert conj_pair.F == pair.F.hat()
-        assert conj_pair.G == -pair.G
+        F, G = f.split()
+        conj_F, conj_G = f.conjugate().split()
+        assert conj_F == F.hat()
+        assert conj_G == -G
 
     @given(hpolys(4))
     def test_split_of_symmetrization(self, f):
-        pair = f.split()
-        sym_pair = f.symmetrize().split()
-        assert sym_pair.F == pair.F * pair.F.hat() + pair.G * pair.G.hat()
-        assert sym_pair.G.is_zero()
+        F, G = f.split()
+        sym_F, sym_G = f.symmetrize().split()
+        assert sym_F == F * F.hat() + G * G.hat()
+        assert sym_G.is_zero()
+
+
+class TestCanonicalForm:
+    """(F, G) is canonical, and coeffs are rebuilt from it on every read.
+
+    An HPoly built from Quats, trailing zeros included, must be the one
+    from_split gives for the same slice components.
+    """
+
+    @given(st.lists(quats, max_size=4), st.integers(0, 2))
+    @example([], 0)
+    @example([], 2)
+    @example([Q_J], 0)
+    @example([Quat(Fraction(1, 2), 0, Fraction(2, 3)), Q_I], 1)
+    def test_quats_and_split_give_the_same_polynomial(self, cs, zeros):
+        padded = cs + [Q_ZERO] * zeros
+        f = HPoly(padded)
+        g = HPoly.from_split(
+            CPoly([GaussRat(c.x0, c.x1) for c in padded]),
+            CPoly([GaussRat(c.x2, c.x3) for c in padded]),
+        )
+        while cs and not cs[-1]:
+            cs = cs[:-1]
+        assert f == g
+        assert hash(f) == hash(g)
+        assert f.coeffs == g.coeffs == tuple(cs)
+        assert (str(f), repr(f)) == (str(g), repr(g))
 
 
 class TestEval:
@@ -322,7 +332,7 @@ class TestClassifyZeros:
 
     def test_residual_completes_factorization(self):
         f = q_minus(Q_I) * HPoly([-2, 0, 1])
-        sym_f = f.symmetrize().split().F.monic()
+        sym_f = f.symmetrize().F.monic()
         spheres, residual = real_poly_sphere_factors(sym_f)
         product = residual
         for sphere, mult in spheres:

@@ -133,9 +133,12 @@ class TestGaussRat:
             with pytest.raises(TypeError):
                 op(GaussRat(1), 1)
 
-    def test_slice_pair_roundtrip(self):
-        q = Quat(1, 2, 3, 4)
-        alpha, beta = q.slice_pair()
-        assert alpha == GaussRat(1, 2)
-        assert beta == GaussRat(3, 4)
-        assert Quat.from_slice_pair(alpha, beta) == q
+
+def test_quat_other_operands_are_not_implemented():
+    for op in (operator.add, operator.sub):
+        with pytest.raises(TypeError):
+            op(Quat(1), 1)
+        with pytest.raises(TypeError):
+            op(1, Quat(1))
+        with pytest.raises(TypeError):
+            op(Quat(1), GaussRat(1))
