@@ -21,10 +21,11 @@ numerators in plain integer arithmetic and build their result from
 (d, re, im).  Their GaussRat coefficients (``coeffs``) are built only
 when something reads them, and then cached.  ``from_parts`` and ``parts``
 build a CPoly from, and read one coefficient as, Fraction parts without
-any GaussRat; an HPoly keeps its split F + G*j through them.  The
-coefficient-list helpers ``_zi_mul``, ``_zi_sub`` and ``_zi_exact_div``
-work on Z[i][z] directly; ``polymatrix.det_bareiss`` runs its whole
-elimination on them.
+any GaussRat; an HPoly keeps its split F + G*j through them, and
+``_mul_add`` forms a*b +- c*e on the numerators with one content removal,
+which is each component of the star product.  The coefficient-list helpers
+``_zi_mul``, ``_zi_sub`` and ``_zi_exact_div`` work on Z[i][z] directly;
+``polymatrix.det_bareiss`` runs its whole elimination on them.
 """
 
 from __future__ import annotations
@@ -245,13 +246,7 @@ class CPoly:
             return other if sign > 0 else -other
         da, ar, ai = self._ints
         db, br, bi = other._ints
-        d = lcm(da, db)
-        sa, sb = d // da, sign * (d // db)
-        n = max(len(ar), len(br))
-        pad_a, pad_b = (0,) * (n - len(ar)), (0,) * (n - len(br))
-        re = [sa * x + sb * u for x, u in zip(ar + pad_a, br + pad_b)]
-        im = [sa * y + sb * v for y, v in zip(ai + pad_a, bi + pad_b)]
-        return CPoly._from_ints(d, re, im)
+        return _sum_ints(da, (ar, ai), db, (br, bi), sign)
 
     def __neg__(self) -> "CPoly":
         d, re, im = self._ints
@@ -368,6 +363,23 @@ class CPoly:
 
     def __repr__(self):
         return f"CPoly([{', '.join(repr(c) for c in self.coeffs)}])"
+
+
+def _sum_ints(da: int, a: ZiPoly, db: int, b: ZiPoly, sign: int) -> CPoly:
+    """a / da + sign * b / db, for Z[i][z] numerators a and b, with one content removal."""
+    (ar, ai), (br, bi) = a, b
+    d = lcm(da, db)
+    sa, sb = d // da, sign * (d // db)
+    re = [sa * x + sb * u for x, u in zip_longest(ar, br, fillvalue=0)]
+    im = [sa * y + sb * v for y, v in zip_longest(ai, bi, fillvalue=0)]
+    return CPoly._from_ints(d, re, im)
+
+
+def _mul_add(a: CPoly, b: CPoly, c: CPoly, e: CPoly, sign: int) -> CPoly:
+    """a*b + sign * c*e: both products and the sum on the numerators, one content removal."""
+    (da, *a_zi), (db, *b_zi) = a._ints, b._ints
+    (dc, *c_zi), (de, *e_zi) = c._ints, e._ints
+    return _sum_ints(da * db, _zi_mul(a_zi, b_zi), dc * de, _zi_mul(c_zi, e_zi), sign)
 
 
 CP_ZERO = CPoly()

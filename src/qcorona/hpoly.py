@@ -15,7 +15,9 @@ for f = F + G j and g = H + K j
     f^c   = hat(F) - G j,
 
 so H[q] runs on the Gaussian-integer arithmetic of cpoly and has no
-arithmetic kernel of its own.  A scalar factor takes the same route as a
+arithmetic kernel of its own.  Each component of a star product, and the
+symmetrization, is one cpoly._mul_add: two products and their sum on the
+numerators, reduced once.  A scalar factor takes the same route as a
 constant polynomial.  The Quat coefficients (``coeffs``) are built from the
 integer form of (F, G) on every read and are not cached.
 
@@ -41,7 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
-from .cpoly import CP_ONE, CP_ZERO, CPoly, bezout_fold
+from .cpoly import CP_ONE, CP_ZERO, CPoly, _mul_add, bezout_fold
 from .scalars import GaussRat, Q_ONE, Q_ZERO, Quat, _frac, rational_sqrt
 
 QuatLike = Union[Quat, Fraction, int]
@@ -139,7 +141,7 @@ class HPoly:
         elif not isinstance(other, HPoly):
             return NotImplemented
         F, G, H, K = self.F, self.G, other.F, other.G
-        return HPoly.from_split(F * H - G * K.hat(), F * K + G * H.hat())
+        return HPoly.from_split(_mul_add(F, H, G, K.hat(), -1), _mul_add(F, K, G, H.hat(), 1))
 
     def __divmod__(self, divisor: "HPoly") -> tuple["HPoly", "HPoly"]:
         """Right division: (Q, R) with self = divisor * Q + R and deg R < deg divisor.
@@ -166,7 +168,7 @@ class HPoly:
     def symmetrize(self) -> "HPoly":
         """f * f^c = F hat(F) + G hat(G), a polynomial with real coefficients."""
         F, G = self.F, self.G
-        return HPoly.from_split(F * F.hat() + G * G.hat(), CP_ZERO)
+        return HPoly.from_split(_mul_add(F, F.hat(), G, G.hat(), 1), CP_ZERO)
 
     def has_real_coeffs(self) -> bool:
         return self.F.has_real_coeffs() and not self.G

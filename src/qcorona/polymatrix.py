@@ -7,10 +7,15 @@ M x = H is solved constructively by Cramer's rule on each certified minor
 and a witness-weighted combination of the partial solutions.
 
 Determinants (det_bareiss) run on the integer form of CPoly: each row's
-numerators are brought to one denominator, the whole elimination stays in
-Z[i][z], and the determinant is built from its numerators and the signed
-product of the row denominators with one content reduction.  No GaussRat
-coefficient is made unless something reads the result's coeffs.
+numerators are brought to one denominator and everything stays in Z[i][z].
+Rows and columns with a single nonzero entry are expanded first: the entry
+joins a running factor, with the cofactor sign, and its row and column are
+deleted.  The rank-argument minors of the Koszul certificate are arrowhead
+matrices, and on them this leaves Bareiss elimination a 2 x 2 or 3 x 3
+core (seen for n = 2, 3, 4).  The determinant is built from the factor
+times the remaining determinant and the signed product of the row
+denominators, with one content reduction.  No GaussRat coefficient is
+made unless something reads the result's coeffs.
 """
 
 from __future__ import annotations
@@ -112,23 +117,41 @@ class PolyMatrix:
         return f"PolyMatrix({self.rows}x{self.cols})"
 
 
+def _sparse_line(a: list[list]) -> list[tuple[int, int]] | None:
+    """Nonzero positions of the first row, else column, of a with at most one; None if none has.
+
+    a is a square list of Z[i][z] entries (re, im); an entry is zero when re is empty.
+    """
+    for r, row in enumerate(a):
+        hits = [(r, c) for c, e in enumerate(row) if e[0]]
+        if len(hits) < 2:
+            return hits
+    for c in range(len(a)):
+        hits = [(r, c) for r, row in enumerate(a) if row[c][0]]
+        if len(hits) < 2:
+            return hits
+    return None
+
+
 def det_bareiss(m: PolyMatrix) -> CPoly:
-    """Determinant by fraction-free elimination over Z[i][z].
+    """Determinant by expansion along sparse lines, then fraction-free elimination over Z[i][z].
 
     Row i is multiplied once by the lcm d_i of its entries' denominators,
-    so the elimination runs on Gaussian-integer coefficient lists.  Each
-    Bareiss quotient is a minor of that integer matrix, so every division
-    is exact in Z[i][z] (a remainder raises ValueError).  The determinant
-    is divided by the product of the d_i, with the swap sign, once.
+    so everything runs on Gaussian-integer coefficient lists.  While some
+    row or column holds a single nonzero entry a_rc, that entry goes into a
+    running factor with the sign (-1)^(r+c), r and c counted in the matrix
+    that remains, and its row and column are deleted; a row or column with
+    no nonzero entry makes the determinant zero.  Bareiss elimination runs
+    on what is left.  Each Bareiss quotient is a minor of that integer
+    matrix, so every division is exact in Z[i][z] (a remainder raises
+    ValueError).  The determinant is the factor times the remaining
+    determinant, divided by the product of the d_i, with the sign, once.
     """
     if m.rows != m.cols:
         raise ValueError("determinant of a non-square matrix")
-    n = m.rows
-    if n == 0:
-        return CPoly.const(1)
     a = []
     scale = 1
-    for i in range(n):
+    for i in range(m.rows):
         row = [e._ints for e in m.row(i)]
         d = lcm(*(de for de, _, _ in row))
         scale *= d
@@ -136,6 +159,18 @@ def det_bareiss(m: PolyMatrix) -> CPoly:
             ([x * (d // de) for x in re], [y * (d // de) for y in im])
             for de, re, im in row
         ])
+    factor = ([1], [0])
+    while (hits := _sparse_line(a)) is not None:
+        if not hits:  # a zero row or column
+            return CP_ZERO
+        (r, c), = hits
+        factor = _zi_mul(factor, a[r][c])
+        if (r + c) % 2:
+            scale = -scale
+        del a[r]
+        for row in a:
+            del row[c]
+    n = len(a)
     prev = ([1], [0])  # step k divides by the pivot of step k - 1, step 0 by 1
     for k in range(n - 1):
         if not a[k][k][0]:  # an empty coefficient list is the zero polynomial
@@ -151,7 +186,7 @@ def det_bareiss(m: PolyMatrix) -> CPoly:
                 num = _zi_sub(_zi_mul(row_i[j], pivot), _zi_mul(row_i[k], row_k[j]))
                 row_i[j] = _zi_exact_div(num, prev) if k else num
         prev = pivot
-    re, im = a[n - 1][n - 1]
+    re, im = _zi_mul(factor, a[-1][-1]) if a else factor
     return CPoly._from_ints(scale, re, im)
 
 

@@ -100,8 +100,8 @@ def certificate_column_order(pair: SyzygyPair):
 
     For each index ell of P, the 2n-1 relations of A through ell plus one
     column of the B block: 2n * C(2n, 2) sets, the same set twice for n = 1.
-    Such a minor factors as the split component P_ell to the power 2n-2
-    times the dot product of P against the B column, and for a family
+    Such a minor equals -P_ell^(2n-2) * <P, b>, where P_ell is the split
+    component ell and b the minor's column of B (not of -B).  For a family
     without common zeros those dot products are coprime, so these sets
     certify every solvable family.  They prove no obstruction: a family with
     a common zero is decided by right Euclid before this order is used.

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -102,7 +103,7 @@ class TestDeterminants:
     def _rows_with_own_denominators(rng, size):
         """Gaussian-rational rows; row r draws its denominators from a prime of its own."""
         rows = []
-        for prime in (1, 2, 3, 5, 7)[:size]:
+        for prime in (1, 2, 3, 5, 7, 11)[:size]:
             rows.append([
                 CPoly([
                     GaussRat(Fraction(rng.randint(-4, 4), prime ** rng.randint(0, 2)),
@@ -151,6 +152,77 @@ class TestDeterminants:
     def test_bareiss_matches_cofactor_hypothesis(self, entries):
         m = PolyMatrix(3, 3, entries)
         assert det_bareiss(m) == det_cofactor(m)
+
+
+class TestSparseLines:
+    """Single-entry and empty rows and columns, which det_bareiss expands first."""
+
+    rows_with_own_denominators = staticmethod(TestDeterminants._rows_with_own_denominators)
+
+    @pytest.mark.parametrize("size", [2, 3, 4])
+    @pytest.mark.parametrize("line", ["row", "column"])
+    def test_single_entry_and_zero_lines_at_every_position(self, size, line):
+        """A single-entry row or column through (r, c); then one more line of that kind emptied."""
+        rng = random.Random(f"{line}:{size}")
+        for r in range(size):
+            for c in range(size):
+                rows = self.rows_with_own_denominators(rng, size)
+                entry = CPoly([GaussRat(Fraction(1, 2 + r), c - 1), 1])
+                for k in range(size):
+                    if line == "row":
+                        rows[r][k] = entry if k == c else CPoly()
+                    else:
+                        rows[k][c] = entry if k == r else CPoly()
+                m = PolyMatrix.from_rows(rows)
+                det = det_bareiss(m)
+                assert not det.is_zero()
+                assert det == det_cofactor(m)
+                for k in range(size):
+                    if line == "row":
+                        rows[(r + 1) % size][k] = CPoly()
+                    else:
+                        rows[k][(c + 1) % size] = CPoly()
+                m = PolyMatrix.from_rows(rows)
+                assert det_cofactor(m).is_zero()
+                assert det_bareiss(m).is_zero()
+
+    def test_permutation_matrices(self):
+        rng = random.Random(24)
+        for perm in permutations(range(4)):
+            inversions = sum(perm[i] > perm[j] for i, j in combinations(range(4), 2))
+            sign = CPoly.const(-1 if inversions % 2 else 1)
+            plain = [[CP_ONE if j == perm[i] else CPoly() for j in range(4)] for i in range(4)]
+            assert det_bareiss(PolyMatrix.from_rows(plain)) == sign
+            weighted = [
+                [CPoly([GaussRat(Fraction(rng.randint(1, 4), 1 + i), rng.randint(-2, 2)), 1])
+                 if j == perm[i] else CPoly() for j in range(4)]
+                for i in range(4)
+            ]
+            m = PolyMatrix.from_rows(weighted)
+            assert det_bareiss(m) == det_cofactor(m)
+
+    @pytest.mark.parametrize("size", [3, 6])
+    @pytest.mark.parametrize("lower", [False, True])
+    def test_triangular_matrices_expand_to_the_diagonal_product(self, size, lower):
+        """Triangular, and with its columns reversed, which takes (-1)^(n(n-1)/2)."""
+        rng = random.Random(f"triangular:{size}:{lower}")
+        rows = self.rows_with_own_denominators(rng, size)
+        diagonal = CP_ONE
+        for i in range(size):
+            rows[i][i] = rows[i][i] or CPoly([GaussRat(Fraction(1, 1 + i), 1)])
+            diagonal = diagonal * rows[i][i]
+            for j in range(i + 1, size):
+                if lower:
+                    rows[i][j] = CPoly()
+                else:
+                    rows[j][i] = CPoly()
+        m = PolyMatrix.from_rows(rows)
+        assert det_bareiss(m) == diagonal
+        assert det_cofactor(m) == diagonal
+        reversed_columns = PolyMatrix.from_rows([row[::-1] for row in rows])
+        expected = -diagonal if size * (size - 1) // 2 % 2 else diagonal
+        assert det_bareiss(reversed_columns) == expected
+        assert det_cofactor(reversed_columns) == expected
 
 
 class TestMinorGcdCertificate:
