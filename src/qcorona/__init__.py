@@ -25,15 +25,12 @@ from .corona import (
 from .cpoly import CPoly, bezout_multi, bezout_pair, gcd_monic
 from .hpoly import (
     HPoly,
-    ReciprocalPair,
     RightBezout,
     Sphere,
     ZeroSet,
     classify_zeros,
     eval_on_sphere,
-    reciprocal_pair,
     right_bezout,
-    star_eval_pointwise,
     zeros_on_sphere,
 )
 from .polymatrix import (
@@ -44,7 +41,7 @@ from .polymatrix import (
     rank_at,
     solve_full_rank,
 )
-from .scalars import GaussRat, Quat, SliceForm, slice_decompose
+from .scalars import GaussRat, Quat
 from .syzygy import (
     NaturalSyzygy,
     SyzygyPair,
@@ -67,9 +64,7 @@ __all__ = [
     "PolyMatrix",
     "Quat",
     "RankObstruction",
-    "ReciprocalPair",
     "RightBezout",
-    "SliceForm",
     "Sphere",
     "SyzygyPair",
     "ZeroSet",
@@ -88,12 +83,9 @@ __all__ = [
     "minor_gcd_certificate",
     "natural_syzygy",
     "rank_at",
-    "reciprocal_pair",
     "right_bezout",
-    "slice_decompose",
     "solve_corona",
     "solve_full_rank",
-    "star_eval_pointwise",
     "verify_identity",
     "zeros_on_sphere",
 ]

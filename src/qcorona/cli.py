@@ -1,5 +1,8 @@
 """Command-line front end.
 
+It has two entry points, the installed ``qcorona`` console script and
+``python -m qcorona.cli``; there is no ``python -m qcorona``.
+
 Reports go to stdout as canonical JSON with every number rendered as an
 exact rational string, so output is deterministic byte-for-byte and
 re-verification never passes through floating point.  Exit codes: 0 on
@@ -42,7 +45,7 @@ from .generate import sample_slice_points
 from .hpoly import HPoly, classify_zeros
 from .polymatrix import rank_at
 from .scalars import GaussRat, Quat
-from .syzygy import build_koszul, check_three_term, kernel_dimension_at, natural_syzygy
+from .syzygy import build_koszul, check_three_term, hat_swap, kernel_dimension_at, natural_syzygy
 
 
 def quat_json(q: Quat) -> list[str]:
@@ -164,7 +167,7 @@ def cmd_syzygy(args) -> int:
     pair = build_koszul(inst.fs)
     combined = pair.combined()
     p = pair.p
-    w = pair.w_vector()
+    w = hat_swap(p)
     a_ok = all(dot(p, pair.A.column(c)).is_zero() for c in range(pair.A.cols))
     b_ok = all(dot(w, pair.B.column(c)).is_zero() for c in range(pair.B.cols))
     naturals = []
@@ -284,13 +287,13 @@ def cmd_solve(args) -> int:
         "status": "solved",
         "identity": "verified",
         "solution_file": out_path,
-        "h_degrees": list(result.h_degrees()),
+        "h_degrees": [h.degree for h in result.hs],
         "certificate_minors": len(result.certificate.minors),
         "minors_examined": result.certificate.minors_examined,
     }
     if args.trace:
         report["trace"] = {
-            "euclid_remainders": [hpoly_json(r) for r in result.trace.remainders],
+            "euclid_remainders": [hpoly_json(r) for r in result.remainders],
         }
     emit(report)
     return 0

@@ -98,22 +98,17 @@ class InternalCheckError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class SolveTrace:
-    """The Euclid remainder sequence of one solver run, kept for inspection."""
-
-    remainders: tuple[HPoly, ...]
-
-
-@dataclass(frozen=True)
 class CoronaSolution:
-    """The h_l, with the minor certificate they were solved under (may be empty)."""
+    """The h_l, with the minor certificate they were solved under (may be empty).
+
+    remainders is the remainder sequence of the right Euclid that decided
+    the family, which solve_corona fills in; it is None where no Euclid
+    ran, as in koszul_solve alone.
+    """
 
     hs: tuple[HPoly, ...]
     certificate: FullRankCertificate
-    trace: Optional[SolveTrace]
-
-    def h_degrees(self) -> tuple[int, ...]:
-        return tuple(h.degree for h in self.hs)
+    remainders: Optional[tuple[HPoly, ...]]
 
 
 def verify_identity(fs: Sequence[HPoly], hs: Sequence[HPoly]) -> bool:
@@ -135,7 +130,7 @@ def solve_corona(inst: CoronaInstance) -> Union[CoronaSolution, CommonZeroObstru
     decision = decide(inst)
     if isinstance(decision, CommonZeroObstruction):
         return decision
-    return replace(koszul_solve(inst), trace=SolveTrace(decision.remainders))
+    return replace(koszul_solve(inst), remainders=decision.remainders)
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ from itertools import zip_longest
 from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
-from .scalars import GR_ZERO, GaussRat, RatLike
+from .scalars import GR_ZERO, GaussRat
 
 CoeffLike = Union[GaussRat, Fraction, int]
 ZiPoly = tuple[Sequence[int], Sequence[int]]
@@ -186,10 +186,6 @@ class CPoly:
     @classmethod
     def const(cls, value: CoeffLike) -> "CPoly":
         return cls([value])
-
-    @classmethod
-    def monomial(cls, degree: int, coeff: CoeffLike = 1) -> "CPoly":
-        return cls([0] * degree + [coeff])
 
     @property
     def degree(self) -> int:
@@ -384,12 +380,6 @@ def _mul_add(a: CPoly, b: CPoly, c: CPoly, e: CPoly, sign: int) -> CPoly:
 
 CP_ZERO = CPoly()
 CP_ONE = CPoly.const(1)
-CP_Z = CPoly.monomial(1)
-
-
-def cpoly_from_rationals(values: Sequence[RatLike]) -> CPoly:
-    """Polynomial with real rational coefficients."""
-    return CPoly([GaussRat(v) for v in values])
 
 
 def gcd_monic(a: CPoly, b: CPoly) -> CPoly:

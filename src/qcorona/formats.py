@@ -17,8 +17,9 @@ built under, and a file without one is checked by the identity alone:
     minor 0 witness = [2, 0]
 
 Rationals are written as integer or "p/q" strings; nothing is ever rounded,
-so parse -> serialize -> parse is the identity.  Lines that match no rule
-are rejected with their line number.
+so parse -> serialize -> parse is the identity.  Lines that match no rule,
+a bracket with an empty component and a repeated minor line are rejected
+with their line number.
 """
 
 from __future__ import annotations
@@ -67,7 +68,9 @@ def _parse_groups(text: str, line_no: int, arity: int) -> list[list[Fraction]]:
         raise InstanceFormatError(f"unexpected text {stripped!r}", line_no)
     groups = []
     for body in _BRACKET_RE.findall(text):
-        parts = [p for p in (s.strip() for s in body.split(",")) if p]
+        parts = [s.strip() for s in body.split(",")] if body.strip() else []
+        if "" in parts:
+            raise InstanceFormatError(f"empty component in [{body}]", line_no)
         if len(parts) != arity:
             raise InstanceFormatError(
                 f"expected {arity} components per bracket, got {len(parts)}", line_no
@@ -107,20 +110,23 @@ def _declaration_lines(text: str):
         yield line_no, line
 
 
+def _declaration(line: str, line_no: int, names: list[str]) -> HPoly:
+    """The polynomial of one 'name = coefficients' line; its name is appended to names."""
+    if "=" not in line:
+        raise InstanceFormatError(f"expected 'name = coefficients', got {line!r}", line_no)
+    name, _, rest = line.partition("=")
+    name = name.strip()
+    if not _NAME_RE.match(name):
+        raise InstanceFormatError(f"bad polynomial name {name!r}", line_no)
+    if name in names:
+        raise InstanceFormatError(f"duplicate polynomial name {name!r}", line_no)
+    names.append(name)
+    return HPoly(parse_quat_brackets(rest, line_no))
+
+
 def parse_instance_text(text: str) -> CoronaInstance:
     names: list[str] = []
-    fs: list[HPoly] = []
-    for line_no, line in _declaration_lines(text):
-        if "=" not in line:
-            raise InstanceFormatError(f"expected 'name = coefficients', got {line!r}", line_no)
-        name, _, rest = line.partition("=")
-        name = name.strip()
-        if not _NAME_RE.match(name):
-            raise InstanceFormatError(f"bad polynomial name {name!r}", line_no)
-        if name in names:
-            raise InstanceFormatError(f"duplicate polynomial name {name!r}", line_no)
-        names.append(name)
-        fs.append(HPoly(parse_quat_brackets(rest, line_no)))
+    fs = [_declaration(line, line_no, names) for line_no, line in _declaration_lines(text)]
     if not fs:
         raise InstanceFormatError("empty instance: no polynomials declared")
     return CoronaInstance.from_polys(fs, names)
@@ -172,30 +178,22 @@ def parse_solution_text(text: str) -> SolutionFile:
     wits: dict[int, CPoly] = {}
     for line_no, line in _declaration_lines(text):
         minor_match = _MINOR_RE.match(line)
-        if minor_match:
-            idx = int(minor_match.group(1))
-            kind = minor_match.group(2)
-            rest = minor_match.group(3)
-            if kind == "cols":
-                try:
-                    cols[idx] = tuple(int(t) for t in rest.split())
-                except ValueError:
-                    raise InstanceFormatError(f"bad column list {rest!r}", line_no)
-            elif kind == "det":
-                dets[idx] = parse_cpoly_brackets(rest, line_no)
-            else:
-                wits[idx] = parse_cpoly_brackets(rest, line_no)
+        if not minor_match:
+            hs.append(_declaration(line, line_no, names))
             continue
-        if "=" not in line:
-            raise InstanceFormatError(f"unrecognized line {line!r}", line_no)
-        name, _, rest = line.partition("=")
-        name = name.strip()
-        if not _NAME_RE.match(name):
-            raise InstanceFormatError(f"bad polynomial name {name!r}", line_no)
-        if name in names:
-            raise InstanceFormatError(f"duplicate polynomial name {name!r}", line_no)
-        names.append(name)
-        hs.append(HPoly(parse_quat_brackets(rest, line_no)))
+        idx = int(minor_match.group(1))
+        kind = minor_match.group(2)
+        rest = minor_match.group(3)
+        section = {"cols": cols, "det": dets, "witness": wits}[kind]
+        if idx in section:
+            raise InstanceFormatError(f"repeated 'minor {idx} {kind}' line", line_no)
+        if kind == "cols":
+            try:
+                section[idx] = tuple(int(t) for t in rest.split())
+            except ValueError:
+                raise InstanceFormatError(f"bad column list {rest!r}", line_no)
+        else:
+            section[idx] = parse_cpoly_brackets(rest, line_no)
     if not hs:
         raise InstanceFormatError("solution file declares no polynomials")
     if not (set(cols) == set(dets) == set(wits)):

@@ -48,10 +48,6 @@ def random_hpoly(rng: random.Random, degree: int, span: int = 2) -> HPoly:
     return HPoly(coeffs)
 
 
-def random_axis(rng: random.Random) -> Quat:
-    return rng.choice(RATIONAL_AXES)
-
-
 def random_coprime_instance(rng: random.Random, n: int = 2, degree: int = 3) -> CoronaInstance:
     """Instance built as f = (q - c) * g + d with d a nonzero constant.
 

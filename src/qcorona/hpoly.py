@@ -85,10 +85,6 @@ class HPoly:
     def const(cls, value: QuatLike) -> "HPoly":
         return cls([value])
 
-    @classmethod
-    def variable(cls) -> "HPoly":
-        return cls([0, 1])
-
     @property
     def coeffs(self) -> tuple[Quat, ...]:
         """The coefficients as Quats, ascending, built from (F, G) on every read."""
@@ -204,7 +200,7 @@ class HPoly:
             if m == 0:
                 terms.append(f"({c})")
             elif m == 1:
-                terms.append(f"q({c})" if not c.is_real() or c != Q_ONE else "q")
+                terms.append(f"q({c})" if c != Q_ONE else "q")
             else:
                 head = f"q^{m}"
                 terms.append(head if c == Q_ONE else f"{head}({c})")
@@ -215,7 +211,7 @@ class HPoly:
 
 
 HP_ONE = HPoly.const(1)
-HP_Q = HPoly.variable()
+HP_Q = HPoly([0, 1])
 
 
 @dataclass(frozen=True)
@@ -246,15 +242,6 @@ def right_bezout(fs: Sequence[HPoly]) -> RightBezout:
     return RightBezout(g, tuple(ws), tuple(remainders))
 
 
-def star_eval_pointwise(f: HPoly, g: HPoly, q: Quat) -> Quat:
-    """Evaluate f*g at q through f(q) * g(f(q)^-1 q f(q)); 0 when f(q) = 0."""
-    fq = f.eval(q)
-    if not fq:
-        return Q_ZERO
-    moved = fq.inverse() * q * fq
-    return fq * g.eval(moved)
-
-
 # ---------------------------------------------------------------------------
 # Zero sets
 
@@ -277,12 +264,6 @@ class Sphere:
 
     def is_real_point(self) -> bool:
         return not self.y_squared
-
-    def slice_min_poly(self) -> CPoly:
-        """Monic real polynomial whose slice roots are exactly this sphere."""
-        if self.is_real_point():
-            return CPoly([-self.x, 1])
-        return CPoly([self.x * self.x + self.y_squared, -2 * self.x, 1])
 
     def __str__(self):
         if self.is_real_point():
@@ -461,21 +442,3 @@ def classify_zeros(f: HPoly) -> ZeroSet:
             # zero there; reaching this branch would be an arithmetic bug.
             raise AssertionError(f"no zero found on {sphere} despite symmetrization root")
     return ZeroSet(tuple(spherical), tuple(isolated), residual)
-
-
-@dataclass(frozen=True)
-class ReciprocalPair:
-    """Numerator/denominator presentation of the star inverse.
-
-    numerator is the regular conjugate, denominator the symmetrization;
-    f * numerator = denominator holds exactly as polynomials.
-    """
-
-    numerator: HPoly
-    denominator: HPoly
-
-
-def reciprocal_pair(f: HPoly) -> ReciprocalPair:
-    if f.is_zero():
-        raise ValueError("zero polynomial has no reciprocal")
-    return ReciprocalPair(f.conjugate(), f.symmetrize())

@@ -21,7 +21,6 @@ made unless something reads the result's coeffs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from math import lcm
 from typing import Iterable, Sequence
 
@@ -52,22 +51,6 @@ class PolyMatrix:
 
     def __setattr__(self, name, value):
         raise AttributeError("PolyMatrix is immutable")
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[CPoly]]) -> "PolyMatrix":
-        nrows = len(rows)
-        ncols = len(rows[0]) if nrows else 0
-        flat = []
-        for row in rows:
-            if len(row) != ncols:
-                raise ValueError("ragged rows")
-            flat.extend(row)
-        return cls(nrows, ncols, flat)
-
-    @classmethod
-    def identity(cls, n: int) -> "PolyMatrix":
-        one = CPoly.const(1)
-        return cls(n, n, [one if i == j else CP_ZERO for i in range(n) for j in range(n)])
 
     def at(self, i: int, j: int) -> CPoly:
         return self.entries[i * self.cols + j]
@@ -253,7 +236,8 @@ class FullRankCertificate:
 class RankObstruction:
     """Nonconstant gcd of the maximal minors examined.
 
-    Over all maximal minors its roots are the rank-drop points.
+    When the caller's column order covers every maximal minor, its roots
+    are the rank-drop points; over fewer minors they only contain them.
     """
 
     gcd: CPoly
@@ -265,24 +249,20 @@ class MinorBudgetExceeded(RuntimeError):
 
 
 def minor_gcd_certificate(
-    m: PolyMatrix,
-    column_order: Iterable[tuple[int, ...]] | None = None,
+    m: PolyMatrix, column_order: Iterable[tuple[int, ...]]
 ) -> FullRankCertificate | RankObstruction:
-    """Accumulate the gcd of maximal minors until it reaches 1.
+    """Accumulate the gcd of maximal minors, in the caller's column order, until it reaches 1.
 
-    Column sets come from column_order when given (repeats are skipped),
-    otherwise from lexicographic enumeration of every maximal column set.
-    Only minors that strictly shrink the running gcd are retained, so the
-    certificate stays small.  When the gcd reaches 1 the retained minors get
-    Bezout witnesses and form the certificate.  When the order runs out
-    first, the running gcd is returned as a RankObstruction; that proves an
-    obstruction only for an order that covers every maximal column set,
-    such as the default.
+    Each column set in column_order names one maximal minor; repeats are
+    skipped.  Only minors that strictly shrink the running gcd are
+    retained, so the certificate stays small.  When the gcd reaches 1 the
+    retained minors get Bezout witnesses and form the certificate.  When
+    the order runs out first, the running gcd is returned as a
+    RankObstruction; that proves an obstruction only when the order
+    covers every maximal column set, combinations(range(m.cols), m.rows).
     """
     if m.rows > m.cols:
         raise ValueError("matrix must have at least as many columns as rows")
-    if column_order is None:
-        column_order = combinations(range(m.cols), m.rows)
     running = CP_ZERO
     kept_cols: list[tuple[int, ...]] = []
     kept_minors: list[CPoly] = []

@@ -7,7 +7,6 @@ imaginary unit i, ``Quat`` the full skew field with basis 1, i, j, k.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 from typing import Union
@@ -181,9 +180,6 @@ class Quat:
     def real_part(self) -> Fraction:
         return self.x0
 
-    def imag_part(self) -> "Quat":
-        return Quat(0, self.x1, self.x2, self.x3)
-
     def norm_sq(self) -> Fraction:
         return self.x0**2 + self.x1**2 + self.x2**2 + self.x3**2
 
@@ -224,39 +220,3 @@ Q_I = Quat(0, 1)
 Q_J = Quat(0, 0, 1)
 Q_K = Quat(0, 0, 0, 1)
 
-
-class NonRationalSphereRadius(ValueError):
-    """|Im q| is irrational, so q has no exact x + y*axis form."""
-
-
-@dataclass(frozen=True)
-class SliceForm:
-    """q written as x + y*axis with y >= 0 and axis a unit imaginary quaternion.
-
-    Real points get y = 0 and the conventional axis i, which keeps the
-    decomposition deterministic.
-    """
-
-    x: Fraction
-    y: Fraction
-    axis: Quat
-
-    def reconstruct(self) -> Quat:
-        return Quat(self.x) + self.axis * self.y
-
-
-def slice_decompose(q: Quat) -> SliceForm:
-    """Write q = x + y*axis exactly, or raise NonRationalSphereRadius.
-
-    Callers needing sphere-level data for irrational radii should work with
-    (x, y^2) instead, which stays rational; see hpoly.Sphere.
-    """
-    x = q.real_part()
-    imag = q.imag_part()
-    y_sq = imag.norm_sq()
-    if not y_sq:
-        return SliceForm(x, Fraction(0), Q_I)
-    y = rational_sqrt(y_sq)
-    if y is None:
-        raise NonRationalSphereRadius(f"|Im({q})|^2 = {y_sq} is not a perfect square")
-    return SliceForm(x, y, imag * (1 / y))

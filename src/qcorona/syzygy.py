@@ -68,9 +68,6 @@ class SyzygyPair:
     p: tuple[CPoly, ...]
     pairs: tuple[tuple[int, int], ...]
 
-    def w_vector(self) -> list[CPoly]:
-        return hat_swap(self.p)
-
     def combined(self) -> PolyMatrix:
         """The stacked system matrix (A, -B)."""
         return self.A.hstack(self.B.negate())

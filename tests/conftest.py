@@ -1,10 +1,14 @@
 from fractions import Fraction
+from itertools import combinations
 
 import hypothesis.strategies as st
 
 from qcorona.cpoly import CPoly
 from qcorona.hpoly import HPoly
+from qcorona.polymatrix import PolyMatrix
 from qcorona.scalars import GaussRat, Quat
+
+CP_Z = CPoly([0, 1])
 
 small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 
@@ -34,3 +38,13 @@ def nonzero_hpolys(max_degree: int = 4):
 def q_minus(c: Quat) -> HPoly:
     """The monic linear polynomial q - c."""
     return HPoly([-c, 1])
+
+
+def poly_matrix(rows) -> PolyMatrix:
+    """The matrix with these rows, each a list of CPolys of one length."""
+    return PolyMatrix(len(rows), len(rows[0]), [e for row in rows for e in row])
+
+
+def every_maximal_minor(m: PolyMatrix):
+    """Every maximal column set of m, in lexicographic order."""
+    return combinations(range(m.cols), m.rows)

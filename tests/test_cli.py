@@ -85,6 +85,14 @@ def test_malformed_file_reports_its_line(capsys, tmp_path):
     assert "line 3" in err
 
 
+def test_malformed_solution_reports_its_line(capsys, tmp_path):
+    path = tmp_path / "bad.sol"
+    path.write_text("h1 = [0, 1/5, -2/5, 0]\nh2 = [0, -1/5, 2/5, 0,]\n", encoding="utf-8")
+    code, out, err = run(capsys, "verify", INSTANCES / "easy.inst", path)
+    assert code == 2 and out == ""
+    assert "line 2" in err
+
+
 def test_missing_files_exit_2(capsys, tmp_path):
     for argv in (
         ("solve", tmp_path / "absent.inst"),

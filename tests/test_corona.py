@@ -26,7 +26,7 @@ from qcorona.polymatrix import RankObstruction, minor_gcd_certificate
 from qcorona.scalars import Q_I, Q_J, Q_K, Quat
 from qcorona.syzygy import build_koszul, certificate_column_order
 
-from conftest import hpolys, nonzero_hpolys, q_minus
+from conftest import every_maximal_minor, hpolys, nonzero_hpolys, q_minus
 
 INSTANCES = Path(__file__).resolve().parents[1] / "instances"
 SPHERE_I = HPoly([1, 0, 1])  # q^2 + 1, zero on the whole unit imaginary sphere
@@ -42,7 +42,7 @@ def _families():
     def const():
         return HPoly.const(generate.random_nonzero_quat(rng))
 
-    axis = generate.random_axis(rng)
+    axis = rng.choice(generate.RATIONAL_AXES)
     return [
         ("n1-constant", [const()]),
         ("n1-degree2", [generate.random_hpoly(rng, 2)]),
@@ -183,7 +183,7 @@ class TestSolveCorona:
         assert isinstance(sol, CoronaSolution)
         assert verify_identity(inst.fs, sol.hs)
         assert sol.certificate.minors
-        assert sol.trace.remainders[-1] == HP_ONE
+        assert sol.remainders[-1] == HP_ONE
 
     def test_decide_returns_the_euclid_witnesses_when_solvable(self):
         fs = [q_minus(Q_I), q_minus(Q_J) * q_minus(Q_K)]
@@ -240,7 +240,8 @@ def test_euclid_and_koszul_routes_agree(label, fs):
         assert all(_is_rank_argument_set(pair, cols) for cols in koszul.certificate.minor_indices)
         return
     # Every maximal minor, in lexicographic order: the gcd does not depend on the order.
-    reference = minor_gcd_certificate(pair.combined())
+    stacked = pair.combined()
+    reference = minor_gcd_certificate(stacked, every_maximal_minor(stacked))
     assert isinstance(reference, RankObstruction)
     # The Koszul gcd is Gaussian; times its hat it has the same spheres.
     koszul_spheres, koszul_resolved = _sphere_data((reference.gcd * reference.gcd.hat()).monic())

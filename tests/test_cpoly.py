@@ -8,17 +8,15 @@ import hypothesis.strategies as st
 
 from qcorona.cpoly import (
     CP_ONE,
-    CP_Z,
     CPoly,
     bezout_multi,
     bezout_pair,
-    cpoly_from_rationals,
     gcd_monic,
 )
-from qcorona.polymatrix import PolyMatrix, det_bareiss
+from qcorona.polymatrix import det_bareiss
 from qcorona.scalars import GaussRat
 
-from conftest import cpolys, gauss_rats, nonzero_cpolys
+from conftest import CP_Z, cpolys, gauss_rats, nonzero_cpolys, poly_matrix
 
 I = GaussRat(0, 1)
 Z_MINUS_I = CPoly([-I, 1])
@@ -122,13 +120,13 @@ def _gr_det3(rows):
 
 class TestArithmetic:
     def test_difference_of_squares(self):
-        assert Z_MINUS_I * Z_PLUS_I == cpoly_from_rationals([1, 0, 1])
+        assert Z_MINUS_I * Z_PLUS_I == CPoly([1, 0, 1])
 
     def test_multiply_by_zero(self):
         assert CP_Z * CPoly() == CPoly()
 
     def test_addition(self):
-        assert cpoly_from_rationals([1, 1]) + cpoly_from_rationals([-1, 1]) == cpoly_from_rationals([0, 2])
+        assert CPoly([1, 1]) + CPoly([-1, 1]) == CPoly([0, 2])
 
     def test_trailing_zeros_normalized(self):
         assert CPoly([GaussRat(1), GaussRat(0), GaussRat(0)]) == CPoly([GaussRat(1)])
@@ -224,7 +222,7 @@ class TestCanonicalForm:
     @example([[]] + [[GaussRat(k, 1)] for k in range(1, 9)])
     def test_det_bareiss_matches_coefficientwise(self, entries):
         rows = [entries[3 * i:3 * i + 3] for i in range(3)]
-        det = det_bareiss(PolyMatrix.from_rows([[CPoly(e) for e in row] for row in rows]))
+        det = det_bareiss(poly_matrix([[CPoly(e) for e in row] for row in rows]))
         expected = _gr_det3(rows)
         assert det.coeffs == expected
         assert det == CPoly(expected)
@@ -235,7 +233,7 @@ class TestHat:
         assert CPoly([GaussRat(1), I]).hat() == CPoly([GaussRat(1), -I])
 
     def test_fixes_real_polynomials(self):
-        p = cpoly_from_rationals([1, 0, 1])
+        p = CPoly([1, 0, 1])
         assert p.hat() == p
 
     def test_involution(self):
@@ -250,7 +248,7 @@ class TestHat:
 
 class TestEval:
     def test_root_of_real_quadratic(self):
-        assert cpoly_from_rationals([1, 0, 1]).eval(I) == GaussRat(0)
+        assert CPoly([1, 0, 1]).eval(I) == GaussRat(0)
 
     def test_linear_at_zero(self):
         assert Z_MINUS_I.eval(GaussRat(0)) == -I
@@ -267,12 +265,12 @@ class TestEval:
 
 class TestGcd:
     def test_common_factor(self):
-        a = Z_MINUS_I * cpoly_from_rationals([-1, 1])
-        b = Z_MINUS_I * cpoly_from_rationals([5, 1])
+        a = Z_MINUS_I * CPoly([-1, 1])
+        b = Z_MINUS_I * CPoly([5, 1])
         assert gcd_monic(a, b) == Z_MINUS_I
 
     def test_coprime(self):
-        assert gcd_monic(CP_Z, cpoly_from_rationals([-1, 1])).is_one()
+        assert gcd_monic(CP_Z, CPoly([-1, 1])).is_one()
 
     @given(cpolys(3), cpolys(3))
     def test_gcd_divides_both(self, a, b):
@@ -286,14 +284,14 @@ class TestGcd:
 
 class TestBezout:
     def test_pair_identity_example(self):
-        g, ws = bezout_multi([CP_Z, cpoly_from_rationals([-1, 1])])
+        g, ws = bezout_multi([CP_Z, CPoly([-1, 1])])
         assert g.is_one()
         assert ws == [CP_ONE, CPoly([GaussRat(-1)])]
 
     def test_square_versus_linear(self):
-        g, ws = bezout_multi([CP_Z * CP_Z, cpoly_from_rationals([-1, 1])])
+        g, ws = bezout_multi([CP_Z * CP_Z, CPoly([-1, 1])])
         assert g.is_one()
-        assert ws == [CP_ONE, cpoly_from_rationals([-1, -1])]
+        assert ws == [CP_ONE, CPoly([-1, -1])]
 
     def test_unit_entry_shortcut(self):
         ps = [Z_MINUS_I, CPoly(), CP_Z, CPoly([GaussRat(-1)])]

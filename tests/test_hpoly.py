@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
-from qcorona.cpoly import CPoly, cpoly_from_rationals
+from qcorona.cpoly import CPoly
 from qcorona.hpoly import (
     _low_degree_sphere_factors,
     _sympy_sphere_factors,
@@ -16,8 +16,6 @@ from qcorona.hpoly import (
     classify_zeros,
     eval_on_sphere,
     real_poly_sphere_factors,
-    reciprocal_pair,
-    star_eval_pointwise,
     zeros_on_sphere,
 )
 from qcorona.generate import RATIONAL_AXES
@@ -33,6 +31,15 @@ axes = st.sampled_from(RATIONAL_AXES)
 small_fracs = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 # Polynomials whose middle coefficients are often exactly zero.
 gapped_hpolys = st.lists(st.one_of(st.just(Q_ZERO), quats), max_size=5).map(HPoly)
+
+
+def star_eval_pointwise(f: HPoly, g: HPoly, q: Quat) -> Quat:
+    """Evaluate f*g at q through f(q) * g(f(q)^-1 q f(q)); 0 when f(q) = 0."""
+    fq = f.eval(q)
+    if not fq:
+        return Q_ZERO
+    moved = fq.inverse() * q * fq
+    return fq * g.eval(moved)
 
 
 def extension_eval(f: HPoly, x: Fraction, y: Fraction, axis: Quat) -> Quat:
@@ -142,7 +149,7 @@ class TestSplitExtend:
         assert G == CPoly([GaussRat(-1)])
 
         F, G = HPoly([1, 0, 1]).split()
-        assert F == cpoly_from_rationals([1, 0, 1])
+        assert F == CPoly([1, 0, 1])
         assert G.is_zero()
 
         F, G = HPoly([0, Q_K]).split()
@@ -151,7 +158,7 @@ class TestSplitExtend:
 
     def test_extend_examples(self):
         assert HPoly.from_split(CPoly([GaussRat(0), GaussRat(1)]), CPoly([GaussRat(-1)])) == F_QJ
-        assert HPoly.from_split(cpoly_from_rationals([1, 0, 1]), CPoly()) == HPoly([1, 0, 1])
+        assert HPoly.from_split(CPoly([1, 0, 1]), CPoly()) == HPoly([1, 0, 1])
 
     @given(hpolys(4))
     def test_roundtrip(self, f):
@@ -290,6 +297,13 @@ class TestZerosOnSphere:
         assert zeros_on_sphere(f, Sphere(3, 0)).kind == "none"
 
 
+def _slice_min_poly(sphere: Sphere) -> CPoly:
+    """Monic real polynomial whose slice roots are exactly this sphere."""
+    if sphere.is_real_point():
+        return CPoly([-sphere.x, 1])
+    return CPoly([sphere.x * sphere.x + sphere.y_squared, -2 * sphere.x, 1])
+
+
 class TestClassifyZeros:
     def test_single_isolated(self):
         zs = classify_zeros(F_QI)
@@ -314,7 +328,7 @@ class TestClassifyZeros:
     def test_irrational_real_roots_go_to_residual(self):
         zs = classify_zeros(HPoly([-2, 0, 1]))  # q^2 - 2
         assert zs.spherical == () and zs.isolated == ()
-        assert (zs.residual % cpoly_from_rationals([-2, 0, 1])).is_zero()
+        assert (zs.residual % CPoly([-2, 0, 1])).is_zero()
 
     def test_repeated_factor_found_once(self):
         zs = classify_zeros(F_QI * F_QI)
@@ -337,7 +351,7 @@ class TestClassifyZeros:
         product = residual
         for sphere, mult in spheres:
             for _ in range(mult):
-                product = product * sphere.slice_min_poly()
+                product = product * _slice_min_poly(sphere)
         assert product == sym_f
         assert classify_zeros(f).residual == residual
 
@@ -353,7 +367,7 @@ class TestClassifyZeros:
         zs = classify_zeros(product)
         factor_spheres = set()
         for c in roots:
-            factor_spheres.add((c.real_part(), c.imag_part().norm_sq()))
+            factor_spheres.add((c.real_part(), c.norm_sq() - c.real_part() ** 2))
         for sphere in zs.spherical:
             assert (sphere.x, sphere.y_squared) in factor_spheres
         for sphere, point in zs.isolated:
@@ -370,7 +384,7 @@ def _low_degree_inputs():
 
     def scaled(values):
         lead = frac() or Fraction(1)
-        return cpoly_from_rationals([lead * v for v in values])
+        return CPoly([lead * v for v in values])
 
     cases = []
     for _ in range(3):
@@ -401,25 +415,20 @@ def test_closed_form_factors_match_sympy(case, p):
 
 
 class TestReciprocalPair:
+    """The star inverse of f is f^c / f^s: f * f.conjugate() == f.symmetrize()."""
+
     def test_linear(self):
-        pair = reciprocal_pair(F_QI)
-        assert pair.numerator == HPoly([Q_I, 1])
-        assert pair.denominator == HPoly([1, 0, 1])
+        assert F_QI.conjugate() == HPoly([Q_I, 1])
+        assert F_QI.symmetrize() == HPoly([1, 0, 1])
 
     def test_real(self):
         f = q_minus(Quat(2))
-        pair = reciprocal_pair(f)
-        assert pair.numerator == f
-        assert pair.denominator == f * f
-
-    def test_zero_rejected(self):
-        with pytest.raises(ValueError):
-            reciprocal_pair(HPoly())
+        assert f.conjugate() == f
+        assert f.symmetrize() == f * f
 
     @given(nonzero_hpolys(4))
     def test_defining_identity(self, f):
-        pair = reciprocal_pair(f)
-        assert f * pair.numerator == pair.denominator
+        assert f * f.conjugate() == f.symmetrize()
 
 
 class TestDivideByReal:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from qcorona.cpoly import CP_ONE, CP_Z, CP_ZERO, CPoly, _zi_exact_div, cpoly_from_rationals
+from qcorona.cpoly import CP_ONE, CP_ZERO, CPoly, _zi_exact_div
 from qcorona.polymatrix import (
     CertificateMismatch,
     FullRankCertificate,
@@ -20,11 +20,11 @@ from qcorona.polymatrix import (
 from qcorona.scalars import GaussRat
 from qcorona.syzygy import koszul_matrix
 
-from conftest import cpolys
+from conftest import CP_Z, cpolys, every_maximal_minor, poly_matrix
 
 I = GaussRat(0, 1)
 Z_MINUS_I = CPoly([-I, 1])
-ONE_MINUS_Z = cpoly_from_rationals([1, -1])
+ONE_MINUS_Z = CPoly([1, -1])
 
 
 def det_cofactor(m: PolyMatrix) -> CPoly:
@@ -42,12 +42,16 @@ def det_cofactor(m: PolyMatrix) -> CPoly:
         entry = m.at(0, j)
         if entry.is_zero():
             continue
-        rest = PolyMatrix.from_rows([
+        rest = poly_matrix([
             [m.at(i, c) for c in cols if c != j] for i in range(1, n)
         ])
         term = entry * det_cofactor(rest)
         total = total - term if j % 2 else total + term
     return total
+
+
+def identity_matrix(n: int) -> PolyMatrix:
+    return poly_matrix([[CP_ONE if i == j else CP_ZERO for j in range(n)] for i in range(n)])
 
 
 def _koszul_of_example():
@@ -60,7 +64,7 @@ class TestRankAt:
         assert rank_at(_koszul_of_example(), GaussRat(0)) == 3
 
     def test_identity(self):
-        m = PolyMatrix.identity(4)
+        m = identity_matrix(4)
         assert rank_at(m, GaussRat(7, 5)) == 4
 
     def test_zero_matrix(self):
@@ -70,18 +74,18 @@ class TestRankAt:
 
 class TestDeterminants:
     def test_unimodular_2x2(self):
-        m = PolyMatrix.from_rows([
+        m = poly_matrix([
             [CP_ONE, CP_Z],
-            [CP_Z, cpoly_from_rationals([1, 0, 1])],
+            [CP_Z, CPoly([1, 0, 1])],
         ])
         assert det_bareiss(m) == CP_ONE
 
     def test_singular(self):
-        m = PolyMatrix.from_rows([[CP_Z, CP_Z], [CP_Z, CP_Z]])
+        m = poly_matrix([[CP_Z, CP_Z], [CP_Z, CP_Z]])
         assert det_bareiss(m).is_zero()
 
     def test_row_swap_sign(self):
-        m = PolyMatrix.from_rows([
+        m = poly_matrix([
             [CPoly(), CP_ONE],
             [CP_ONE, CPoly()],
         ])
@@ -122,7 +126,7 @@ class TestDeterminants:
             rows[0][0] = CPoly()  # the first pivot is zero: a row swap
             if trial % 2:
                 rows[1][1] = CPoly()  # and, often, a later one too
-            m = PolyMatrix.from_rows(rows)
+            m = poly_matrix(rows)
             det = det_bareiss(m)
             assert not det.is_zero()
             assert det == det_cofactor(m)
@@ -132,7 +136,7 @@ class TestDeterminants:
         rows = self._rows_with_own_denominators(random.Random(size), size)
         c = CPoly([GaussRat(Fraction(1, 3), -2), GaussRat(0, Fraction(1, 2))])
         rows[-1] = [x * c + y for x, y in zip(rows[0], rows[1])]
-        m = PolyMatrix.from_rows(rows)
+        m = poly_matrix(rows)
         assert det_cofactor(m).is_zero()
         assert det_bareiss(m).is_zero()
 
@@ -173,7 +177,7 @@ class TestSparseLines:
                         rows[r][k] = entry if k == c else CPoly()
                     else:
                         rows[k][c] = entry if k == r else CPoly()
-                m = PolyMatrix.from_rows(rows)
+                m = poly_matrix(rows)
                 det = det_bareiss(m)
                 assert not det.is_zero()
                 assert det == det_cofactor(m)
@@ -182,7 +186,7 @@ class TestSparseLines:
                         rows[(r + 1) % size][k] = CPoly()
                     else:
                         rows[k][(c + 1) % size] = CPoly()
-                m = PolyMatrix.from_rows(rows)
+                m = poly_matrix(rows)
                 assert det_cofactor(m).is_zero()
                 assert det_bareiss(m).is_zero()
 
@@ -192,13 +196,13 @@ class TestSparseLines:
             inversions = sum(perm[i] > perm[j] for i, j in combinations(range(4), 2))
             sign = CPoly.const(-1 if inversions % 2 else 1)
             plain = [[CP_ONE if j == perm[i] else CPoly() for j in range(4)] for i in range(4)]
-            assert det_bareiss(PolyMatrix.from_rows(plain)) == sign
+            assert det_bareiss(poly_matrix(plain)) == sign
             weighted = [
                 [CPoly([GaussRat(Fraction(rng.randint(1, 4), 1 + i), rng.randint(-2, 2)), 1])
                  if j == perm[i] else CPoly() for j in range(4)]
                 for i in range(4)
             ]
-            m = PolyMatrix.from_rows(weighted)
+            m = poly_matrix(weighted)
             assert det_bareiss(m) == det_cofactor(m)
 
     @pytest.mark.parametrize("size", [3, 6])
@@ -216,10 +220,10 @@ class TestSparseLines:
                     rows[i][j] = CPoly()
                 else:
                     rows[j][i] = CPoly()
-        m = PolyMatrix.from_rows(rows)
+        m = poly_matrix(rows)
         assert det_bareiss(m) == diagonal
         assert det_cofactor(m) == diagonal
-        reversed_columns = PolyMatrix.from_rows([row[::-1] for row in rows])
+        reversed_columns = poly_matrix([row[::-1] for row in rows])
         expected = -diagonal if size * (size - 1) // 2 % 2 else diagonal
         assert det_bareiss(reversed_columns) == expected
         assert det_cofactor(reversed_columns) == expected
@@ -228,7 +232,7 @@ class TestSparseLines:
 class TestMinorGcdCertificate:
     def test_partition_of_unity_row(self):
         m = PolyMatrix(1, 2, [CP_Z, ONE_MINUS_Z])
-        cert = minor_gcd_certificate(m)
+        cert = minor_gcd_certificate(m, every_maximal_minor(m))
         assert isinstance(cert, FullRankCertificate)
         assert cert.minors == (CP_Z, ONE_MINUS_Z)
         assert cert.witnesses == (CP_ONE, CP_ONE)
@@ -237,7 +241,7 @@ class TestMinorGcdCertificate:
 
     def test_obstruction_with_common_factor(self):
         m = PolyMatrix(1, 2, [CP_Z, CP_Z * CP_Z])
-        out = minor_gcd_certificate(m)
+        out = minor_gcd_certificate(m, every_maximal_minor(m))
         assert isinstance(out, RankObstruction)
         assert out.gcd == CP_Z
         assert rank_at(m, GaussRat(0)) == 0
@@ -245,39 +249,39 @@ class TestMinorGcdCertificate:
 
     def test_zero_matrix_obstruction(self):
         m = PolyMatrix(1, 2, [CPoly(), CPoly()])
-        out = minor_gcd_certificate(m)
+        out = minor_gcd_certificate(m, every_maximal_minor(m))
         assert isinstance(out, RankObstruction)
         assert out.gcd.is_zero()
 
     def test_too_tall_rejected(self):
         m = PolyMatrix(2, 1, [CP_Z, CP_ONE])
         with pytest.raises(ValueError):
-            minor_gcd_certificate(m)
+            minor_gcd_certificate(m, every_maximal_minor(m))
 
 
 class TestSolveFullRank:
     def test_partition_of_unity(self):
         m = PolyMatrix(1, 2, [CP_Z, ONE_MINUS_Z])
-        cert = minor_gcd_certificate(m)
+        cert = minor_gcd_certificate(m, every_maximal_minor(m))
         x = solve_full_rank(m, [CP_ONE], cert)
         assert x == [CP_ONE, CP_ONE]
 
     def test_identity_matrix(self):
-        m = PolyMatrix.identity(3)
-        cert = minor_gcd_certificate(m)
+        m = identity_matrix(3)
+        cert = minor_gcd_certificate(m, every_maximal_minor(m))
         h = [CP_Z, CP_ONE, Z_MINUS_I]
         assert solve_full_rank(m, h, cert) == h
 
     def test_unit_column_row(self):
         m = PolyMatrix(1, 4, [Z_MINUS_I, CPoly(), CP_Z, CPoly([GaussRat(-1)])])
-        cert = minor_gcd_certificate(m)
+        cert = minor_gcd_certificate(m, every_maximal_minor(m))
         x = solve_full_rank(m, [CP_ONE], cert)
         assert m.mul_vector(x) == [CP_ONE]
 
     def test_wrong_certificate_rejected(self):
         m = PolyMatrix(1, 2, [CP_Z, ONE_MINUS_Z])
         other = PolyMatrix(1, 2, [CP_ONE, CP_Z])
-        cert = minor_gcd_certificate(other)
+        cert = minor_gcd_certificate(other, every_maximal_minor(other))
         with pytest.raises(CertificateMismatch):
             solve_full_rank(m, [CP_ONE], cert)
 
@@ -288,6 +292,6 @@ class TestSolveFullRank:
             CP_ONE, CP_Z, CPoly(),
             CPoly(), CP_ONE, CP_Z,
         ])
-        cert = minor_gcd_certificate(m)
+        cert = minor_gcd_certificate(m, every_maximal_minor(m))
         x = solve_full_rank(m, h, cert)
         assert m.mul_vector(x) == list(h)

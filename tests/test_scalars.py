@@ -8,13 +8,11 @@ from qcorona.cpoly import CPoly
 from qcorona.generate import RATIONAL_AXES
 from qcorona.scalars import (
     GaussRat,
-    NonRationalSphereRadius,
     Q_I,
     Q_J,
     Q_K,
     Q_ONE,
     Quat,
-    slice_decompose,
 )
 
 from conftest import nonzero_quats, quats
@@ -70,36 +68,6 @@ class TestQuatInverse:
     def test_two_sided_inverse(self, q):
         assert q * q.inverse() == Q_ONE
         assert q.inverse() * q == Q_ONE
-
-
-class TestSliceDecompose:
-    def test_pythagorean_point(self):
-        form = slice_decompose(Quat(1, 2, 2, 1))
-        assert form.x == 1
-        assert form.y == 3
-        assert form.axis == Quat(0, Fraction(2, 3), Fraction(2, 3), Fraction(1, 3))
-
-    def test_unit_i(self):
-        form = slice_decompose(Q_I)
-        assert (form.x, form.y, form.axis) == (0, 1, Q_I)
-
-    def test_real_point_uses_convention_axis(self):
-        form = slice_decompose(Quat(5))
-        assert (form.x, form.y, form.axis) == (5, 0, Q_I)
-
-    def test_irrational_radius_rejected(self):
-        with pytest.raises(NonRationalSphereRadius):
-            slice_decompose(Quat(1, 1, 1, 0))
-
-    @given(quats)
-    def test_reconstruction(self, q):
-        try:
-            form = slice_decompose(q)
-        except NonRationalSphereRadius:
-            return
-        assert form.reconstruct() == q
-        if form.y:
-            assert form.axis * form.axis == -Q_ONE
 
 
 def test_rational_axes_are_imaginary_units():

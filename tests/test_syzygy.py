@@ -9,7 +9,7 @@ import pytest
 from qcorona import generate
 from qcorona.cpoly import CP_ONE, dot
 from qcorona.polymatrix import det_bareiss
-from qcorona.syzygy import build_koszul, certificate_column_order, kernel_dimension_at
+from qcorona.syzygy import build_koszul, certificate_column_order, hat_swap, kernel_dimension_at
 
 # (n, degree): the rank-argument minors are 2n x 2n, up to 8 x 8.
 FAMILIES = [(1, 1), (1, 3), (2, 1), (2, 3), (3, 1), (3, 2), (4, 1), (4, 2)]
@@ -46,7 +46,7 @@ def test_rank_argument_minor_is_minus_p_ell_power_times_a_b_dot_product(n, degre
 @pytest.mark.parametrize("n, degree", FAMILIES)
 def test_columns_of_a_and_b_annihilate_p_and_w(n, degree):
     pair = _pair(n, degree)
-    w = pair.w_vector()
+    w = hat_swap(pair.p)
     for c in range(pair.A.cols):
         assert dot(pair.p, pair.A.column(c)).is_zero()
         assert dot(w, pair.B.column(c)).is_zero()
