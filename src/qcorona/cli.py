@@ -32,10 +32,11 @@ from .corona import (
     solve_corona,
     verify_identity,
 )
-from .cpoly import CPoly, dot
+from .cpoly import dot
 from .formats import (
     InstanceFormatError,
     SolutionFile,
+    coefficient_strings,
     parse_instance,
     parse_quat_brackets,
     parse_solution,
@@ -44,21 +45,12 @@ from .formats import (
 from .generate import sample_slice_points
 from .hpoly import HPoly, classify_zeros
 from .polymatrix import rank_at
-from .scalars import GaussRat, Quat
+from .scalars import Quat
 from .syzygy import build_koszul, check_three_term, hat_swap, kernel_dimension_at, natural_syzygy
 
 
 def quat_json(q: Quat) -> list[str]:
     return [str(c) for c in q.components()]
-
-
-def hpoly_json(f: HPoly) -> list[list[str]]:
-    return [quat_json(c) for c in f.coeffs or (Quat(),)]
-
-
-def cpoly_json(p: CPoly) -> list[list[str]]:
-    coeffs = p.coeffs if p.coeffs else (GaussRat(0),)
-    return [[str(c.re), str(c.im)] for c in coeffs]
 
 
 def sphere_json(sphere) -> dict:
@@ -84,7 +76,7 @@ def cmd_star(args) -> int:
         "command": "star",
         "left": args.left,
         "right": args.right,
-        "product": hpoly_json(product),
+        "product": coefficient_strings(product),
         "text": str(product),
     })
     return 0
@@ -97,7 +89,7 @@ def cmd_conj(args) -> int:
     emit({
         "command": "conj",
         "name": args.name,
-        "conjugate": hpoly_json(result),
+        "conjugate": coefficient_strings(result),
         "text": str(result),
     })
     return 0
@@ -110,7 +102,7 @@ def cmd_sym(args) -> int:
     emit({
         "command": "sym",
         "name": args.name,
-        "symmetrization": hpoly_json(result),
+        "symmetrization": coefficient_strings(result),
         "text": str(result),
     })
     return 0
@@ -139,8 +131,8 @@ def cmd_split(args) -> int:
     emit({
         "command": "split",
         "name": args.name,
-        "F": cpoly_json(f.F),
-        "G": cpoly_json(f.G),
+        "F": coefficient_strings(f.F),
+        "G": coefficient_strings(f.G),
     })
     return 0
 
@@ -156,7 +148,7 @@ def cmd_zeros(args) -> int:
         "isolated": [
             {"sphere": sphere_json(s), "point": quat_json(p)} for s, p in zs.isolated
         ],
-        "residual": cpoly_json(zs.residual),
+        "residual": coefficient_strings(zs.residual),
         "residual_text": str(zs.residual),
     })
     return 0
@@ -258,7 +250,7 @@ def _diagnosis_json(inst: CoronaInstance, report: DiagnosisReport) -> dict:
     return {
         "found_common_zero": report.found_common_zero(),
         "spheres": entries,
-        "unresolved_factor": cpoly_json(report.unresolved),
+        "unresolved_factor": coefficient_strings(report.unresolved),
         "unresolved_text": str(report.unresolved),
     }
 
@@ -267,7 +259,7 @@ def _obstruction_json(command: str, inst: CoronaInstance, obstruction: CommonZer
     return {
         "command": command,
         "status": "obstruction",
-        "gcd": cpoly_json(obstruction.gcd),
+        "gcd": coefficient_strings(obstruction.gcd),
         "gcd_text": str(obstruction.gcd),
         "diagnosis": _diagnosis_json(inst, diagnose_common_zero(inst, obstruction)),
     }
@@ -293,7 +285,7 @@ def cmd_solve(args) -> int:
     }
     if args.trace:
         report["trace"] = {
-            "euclid_remainders": [hpoly_json(r) for r in result.remainders],
+            "euclid_remainders": [coefficient_strings(r) for r in result.remainders],
         }
     emit(report)
     return 0

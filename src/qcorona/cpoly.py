@@ -21,11 +21,16 @@ numerators in plain integer arithmetic and build their result from
 (d, re, im).  Their GaussRat coefficients (``coeffs``) are built only
 when something reads them, and then cached.  ``from_parts`` and ``parts``
 build a CPoly from, and read one coefficient as, Fraction parts without
-any GaussRat; an HPoly keeps its split F + G*j through them, and
-``_mul_add`` forms a*b +- c*e on the numerators with one content removal,
-which is each component of the star product.  The coefficient-list helpers
-``_zi_mul``, ``_zi_sub`` and ``_zi_exact_div`` work on Z[i][z] directly;
-``polymatrix.det_bareiss`` runs its whole elimination on them.
+any GaussRat; an HPoly keeps its split F + G*j through them.
+``from_ratios`` builds a CPoly from (numerator, denominator) int pairs,
+reduced or not, with no Fraction either; the file parser reads every
+coefficient through it.  ``_scaled`` is the one routine that puts such
+pairs over a common denominator, and __init__ and ``from_parts`` use it
+too.  ``_mul_add`` forms a*b +- c*e on the numerators with one content
+removal, which is each component of the star product.  The
+coefficient-list helpers ``_zi_mul``, ``_zi_sub`` and ``_zi_exact_div``
+work on Z[i][z] directly; ``polymatrix.det_bareiss`` runs its whole
+elimination on them.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ from typing import Iterable, Sequence, Union
 from .scalars import GR_ZERO, GaussRat
 
 CoeffLike = Union[GaussRat, Fraction, int]
+Ratio = tuple[int, int]
 ZiPoly = tuple[Sequence[int], Sequence[int]]
 
 
@@ -49,14 +55,14 @@ def _coeff(value: CoeffLike) -> GaussRat:
     return GaussRat(value)
 
 
-def _scaled(re: Sequence[Fraction], im: Sequence[Fraction]) -> tuple[int, list[int], list[int]]:
-    """(d, xs, ys) with re[m] = xs[m] / d and im[m] = ys[m] / d, d the lcm of the denominators."""
-    d = lcm(*(x.denominator for x in re), *(y.denominator for y in im))
-    return (
-        d,
-        [x.numerator * (d // x.denominator) for x in re],
-        [y.numerator * (d // y.denominator) for y in im],
-    )
+def _scaled(re: Sequence[Ratio], im: Sequence[Ratio]) -> tuple[int, list[int], list[int]]:
+    """(d, xs, ys) with re[m] = xs[m] / d and im[m] = ys[m] / d, d the lcm of the denominators.
+
+    re and im hold (numerator, denominator) pairs with nonzero denominators,
+    reduced or not.
+    """
+    d = lcm(*(q for _, q in re), *(q for _, q in im))
+    return d, [p * (d // q) for p, q in re], [p * (d // q) for p, q in im]
 
 
 def _unscaled(d: int, re: Sequence[int], im: Sequence[int]) -> list[GaussRat]:
@@ -138,12 +144,26 @@ class CPoly:
 
     def __init__(self, coeffs: Iterable[CoeffLike] = ()):
         cs = [_coeff(c) for c in coeffs]
-        self._set_ints(*_scaled([c.re for c in cs], [c.im for c in cs]))
+        self._set_ints(*_scaled(
+            [c.re.as_integer_ratio() for c in cs], [c.im.as_integer_ratio() for c in cs]
+        ))
         object.__setattr__(self, "_coeffs", tuple(cs[:len(self._ints[1])]))
 
     @classmethod
     def from_parts(cls, re: Sequence[Fraction], im: Sequence[Fraction]) -> "CPoly":
         """The polynomial with coefficients re[m] + im[m]*i; builds no GaussRat."""
+        return cls.from_ratios(
+            [x.as_integer_ratio() for x in re], [y.as_integer_ratio() for y in im]
+        )
+
+    @classmethod
+    def from_ratios(cls, re: Sequence[Ratio], im: Sequence[Ratio]) -> "CPoly":
+        """The polynomial with coefficients re[m] + im[m]*i, each a (numerator, denominator) pair.
+
+        The pairs need not be reduced: the numerators go over the lcm of the
+        denominators and the content is removed once.  Builds no Fraction
+        and no GaussRat.
+        """
         return cls._from_ints(*_scaled(re, im))
 
     @classmethod

@@ -20,6 +20,13 @@ Rationals are written as integer or "p/q" strings; nothing is ever rounded,
 so parse -> serialize -> parse is the identity.  Lines that match no rule,
 a bracket with an empty component and a repeated minor line are rejected
 with their line number.
+
+Coefficients are read into, and written from, the integer form (d, re, im)
+that a CPoly stores, and no Fraction, GaussRat or Quat is built per
+coefficient.  A token is read as a (numerator, denominator) int pair, and
+each polynomial of a line is built once by CPoly.from_ratios, so unreduced
+tokens such as 6/4 give the canonical polynomial.  A component is written
+as x/d reduced by one gcd, which is exactly str(Fraction(x, d)).
 """
 
 from __future__ import annotations
@@ -27,13 +34,14 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from math import gcd
+from typing import Optional, Union
 
 from .corona import CoronaInstance, CoronaSolution
-from .cpoly import CPoly
+from .cpoly import CPoly, Ratio
 from .hpoly import HPoly
 from .polymatrix import FullRankCertificate
-from .scalars import GaussRat, Quat
+from .scalars import Quat
 
 
 class InstanceFormatError(ValueError):
@@ -45,29 +53,19 @@ class InstanceFormatError(ValueError):
         super().__init__(prefix + message)
 
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+_RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
 _NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 _BRACKET_RE = re.compile(r"\[([^\[\]]*)\]")
 
 
-def parse_rational(token: str, line_no: Optional[int] = None) -> Fraction:
-    token = token.strip()
-    if not _RATIONAL_RE.match(token):
-        raise InstanceFormatError(f"malformed rational {token!r}", line_no)
-    if "/" in token:
-        num, den = token.split("/")
-        if int(den) == 0:
-            raise InstanceFormatError(f"zero denominator in {token!r}", line_no)
-        return Fraction(int(num), int(den))
-    return Fraction(int(token))
-
-
-def _parse_groups(text: str, line_no: int, arity: int) -> list[list[Fraction]]:
-    stripped = _BRACKET_RE.sub("", text).strip()
+def _parse_groups(text: str, line_no: Optional[int], arity: int) -> list[list[Ratio]]:
+    """The bracketed groups of text, each component a (numerator, denominator) pair."""
+    pieces = _BRACKET_RE.split(text)
+    stripped = "".join(pieces[::2]).strip()
     if stripped:
         raise InstanceFormatError(f"unexpected text {stripped!r}", line_no)
     groups = []
-    for body in _BRACKET_RE.findall(text):
+    for body in pieces[1::2]:
         parts = [s.strip() for s in body.split(",")] if body.strip() else []
         if "" in parts:
             raise InstanceFormatError(f"empty component in [{body}]", line_no)
@@ -75,31 +73,58 @@ def _parse_groups(text: str, line_no: int, arity: int) -> list[list[Fraction]]:
             raise InstanceFormatError(
                 f"expected {arity} components per bracket, got {len(parts)}", line_no
             )
-        groups.append([parse_rational(p, line_no) for p in parts])
+        group = []
+        for token in parts:
+            match = _RATIONAL_RE.match(token)
+            if not match:
+                raise InstanceFormatError(f"malformed rational {token!r}", line_no)
+            num, den = match.groups()
+            den = int(den) if den else 1
+            if not den:
+                raise InstanceFormatError(f"zero denominator in {token!r}", line_no)
+            group.append((int(num), den))
+        groups.append(group)
     if not groups:
         raise InstanceFormatError("expected at least one bracketed group", line_no)
     return groups
 
 
-def parse_quat_brackets(text: str, line_no: int = 0) -> list[Quat]:
-    return [Quat(*g) for g in _parse_groups(text, line_no, 4)]
+def parse_quat_brackets(text: str, line_no: Optional[int] = None) -> list[Quat]:
+    return [Quat(*(Fraction(*r) for r in g)) for g in _parse_groups(text, line_no, 4)]
 
 
-def parse_cpoly_brackets(text: str, line_no: int = 0) -> CPoly:
-    return CPoly([GaussRat(*g) for g in _parse_groups(text, line_no, 2)])
+def _parse_hpoly(text: str, line_no: int) -> HPoly:
+    x0, x1, x2, x3 = zip(*_parse_groups(text, line_no, 4))
+    return HPoly.from_split(CPoly.from_ratios(x0, x1), CPoly.from_ratios(x2, x3))
 
 
-def quat_brackets(coeffs: Sequence[Quat]) -> str:
-    if not coeffs:
-        coeffs = [Quat()]
-    return " ".join(
-        "[" + ", ".join(str(c) for c in q.components()) + "]" for q in coeffs
-    )
+def _parse_cpoly(text: str, line_no: int) -> CPoly:
+    return CPoly.from_ratios(*zip(*_parse_groups(text, line_no, 2)))
 
 
-def cpoly_brackets(p: CPoly) -> str:
-    coeffs = p.coeffs if p.coeffs else (GaussRat(0),)
-    return " ".join(f"[{c.re}, {c.im}]" for c in coeffs)
+def _ratio(x: int, d: int) -> str:
+    """str(Fraction(x, d)) for d > 0, with one gcd and no Fraction."""
+    g = gcd(x, d)
+    return str(x // g) if g == d else f"{x // g}/{d // g}"
+
+
+def coefficient_strings(f: Union[HPoly, CPoly]) -> list[tuple[str, ...]]:
+    """Each coefficient of f, ascending, as its component strings; [0, ...] for f = 0.
+
+    An HPoly coefficient F_m + G_m*j has four components, a CPoly
+    coefficient two.  Each is written from the integer form (d, re, im).
+    """
+    n = max(f.degree + 1, 1)
+    columns = []
+    for p in (f.F, f.G) if isinstance(f, HPoly) else (f,):
+        d, re, im = p._ints
+        for xs in (re, im):
+            columns.append([_ratio(x, d) for x in xs] + ["0"] * (n - len(xs)))
+    return list(zip(*columns))
+
+
+def _brackets(f: Union[HPoly, CPoly]) -> str:
+    return " ".join("[" + ", ".join(row) + "]" for row in coefficient_strings(f))
 
 
 def _declaration_lines(text: str):
@@ -121,7 +146,7 @@ def _declaration(line: str, line_no: int, names: list[str]) -> HPoly:
     if name in names:
         raise InstanceFormatError(f"duplicate polynomial name {name!r}", line_no)
     names.append(name)
-    return HPoly(parse_quat_brackets(rest, line_no))
+    return _parse_hpoly(rest, line_no)
 
 
 def parse_instance_text(text: str) -> CoronaInstance:
@@ -138,7 +163,7 @@ def parse_instance(path: str) -> CoronaInstance:
 
 
 def serialize_instance(inst: CoronaInstance) -> str:
-    lines = [f"{name} = {quat_brackets(f.coeffs)}" for name, f in zip(inst.names, inst.fs)]
+    lines = [f"{name} = {_brackets(f)}" for name, f in zip(inst.names, inst.fs)]
     return "\n".join(lines) + "\n"
 
 
@@ -158,15 +183,15 @@ _MINOR_RE = re.compile(r"^minor\s+(\d+)\s+(cols|det|witness)\s*=\s*(.*)$")
 
 def serialize_solution(solution: CoronaSolution) -> str:
     lines = [
-        f"h{k + 1} = {quat_brackets(h.coeffs)}" for k, h in enumerate(solution.hs)
+        f"h{k + 1} = {_brackets(h)}" for k, h in enumerate(solution.hs)
     ]
     cert = solution.certificate
     for k, (cols, minor, witness) in enumerate(
         zip(cert.minor_indices, cert.minors, cert.witnesses)
     ):
         lines.append(f"minor {k} cols = {' '.join(str(c) for c in cols)}")
-        lines.append(f"minor {k} det = {cpoly_brackets(minor)}")
-        lines.append(f"minor {k} witness = {cpoly_brackets(witness)}")
+        lines.append(f"minor {k} det = {_brackets(minor)}")
+        lines.append(f"minor {k} witness = {_brackets(witness)}")
     return "\n".join(lines) + "\n"
 
 
@@ -193,7 +218,7 @@ def parse_solution_text(text: str) -> SolutionFile:
             except ValueError:
                 raise InstanceFormatError(f"bad column list {rest!r}", line_no)
         else:
-            section[idx] = parse_cpoly_brackets(rest, line_no)
+            section[idx] = _parse_cpoly(rest, line_no)
     if not hs:
         raise InstanceFormatError("solution file declares no polynomials")
     if not (set(cols) == set(dets) == set(wits)):

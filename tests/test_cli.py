@@ -93,6 +93,14 @@ def test_malformed_solution_reports_its_line(capsys, tmp_path):
     assert "line 2" in err
 
 
+def test_malformed_point_has_no_line(capsys):
+    # The point is a command-line argument, not a line of a file.
+    code, out, err = run(capsys, "eval", INSTANCES / "easy.inst", "f1", "[1, 2]")
+    assert code == 2 and out == ""
+    assert err == "error: expected 4 components per bracket, got 2\n"
+    assert "line" not in err
+
+
 def test_missing_files_exit_2(capsys, tmp_path):
     for argv in (
         ("solve", tmp_path / "absent.inst"),

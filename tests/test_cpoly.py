@@ -201,6 +201,17 @@ class TestCanonicalForm:
         assert p.coeffs == q.coeffs == _stripped(q.coeffs)
         assert (str(p), repr(p)) == (str(q), repr(q))
 
+    @settings(max_examples=50)
+    @given(st.lists(st.tuples(gauss_rats, st.integers(1, 50), st.integers(1, 50)), max_size=4))
+    @example([(GaussRat(Fraction(3, 2), 0), 2, 1), (GaussRat(0), 7, 7)])
+    def test_unreduced_ratios_give_the_same_polynomial(self, draws):
+        re = [(c.re.numerator * k, c.re.denominator * k) for c, k, _ in draws]
+        im = [(c.im.numerator * k, c.im.denominator * k) for c, _, k in draws]
+        p = CPoly.from_ratios(re, im)
+        q = CPoly([c for c, _, _ in draws])
+        assert p == q
+        assert p.coeffs == q.coeffs == _stripped(q.coeffs)
+
     @given(gauss_lists, gauss_lists)
     @example([GaussRat(2), GaussRat(0, 4)], [GaussRat(Fraction(1, 2))])
     def test_arithmetic_matches_coefficientwise(self, xs, ys):
