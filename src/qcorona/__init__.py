@@ -48,7 +48,6 @@ from .syzygy import (
     build_koszul,
     check_three_term,
     hat_swap,
-    kernel_dimension_at,
     natural_syzygy,
 )
 
@@ -78,7 +77,6 @@ __all__ = [
     "eval_on_sphere",
     "gcd_monic",
     "hat_swap",
-    "kernel_dimension_at",
     "koszul_solve",
     "minor_gcd_certificate",
     "natural_syzygy",

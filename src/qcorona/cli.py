@@ -46,7 +46,7 @@ from .generate import sample_slice_points
 from .hpoly import HPoly, classify_zeros
 from .polymatrix import rank_at
 from .scalars import Quat
-from .syzygy import build_koszul, check_three_term, hat_swap, kernel_dimension_at, natural_syzygy
+from .syzygy import build_koszul, check_three_term, hat_swap, natural_syzygy
 
 
 def quat_json(q: Quat) -> list[str]:
@@ -206,7 +206,7 @@ def cmd_rank(args) -> int:
         ra = rank_at(pair.A, z)
         rb = rank_at(pair.B, z)
         rc = rank_at(combined, z)
-        null_ab, null_a_b = kernel_dimension_at(pair, z)
+        null_ab, null_a_b = combined.cols - rc, (pair.A.cols - ra) + (pair.B.cols - rb)
         match = (
             ra == expected["A"] and rb == expected["B"] and rc == expected["combined"]
             and [null_ab, null_a_b] == expected_null

@@ -12,25 +12,30 @@ i-slice of H[q], where right division is ordinary division, so
 bezout_multi and hpoly.right_bezout run the same code.  gcd_monic is the
 witness-free gcd.
 
-A CPoly is stored as Gaussian-integer numerators over one positive
+A CPoly is stored only as Gaussian-integer numerators over one positive
 denominator, (d, re, im), with the content gcd(d, *re, *im) removed once
 per polynomial when it is built; that form is canonical, so equality and
-hashing compare it directly.  Products (by a polynomial or by a scalar),
-sums, differences, negation, hat and both parts of divmod run on the
-numerators in plain integer arithmetic and build their result from
-(d, re, im).  Their GaussRat coefficients (``coeffs``) are built only
-when something reads them, and then cached.  ``from_parts`` and ``parts``
-build a CPoly from, and read one coefficient as, Fraction parts without
-any GaussRat; an HPoly keeps its split F + G*j through them.
+hashing compare it directly.  Products, sums, differences, negation, hat
+and divmod run on the numerators in plain integer arithmetic and build
+their result from (d, re, im); a GaussRat, Fraction or int factor is
+multiplied as a constant polynomial.  The GaussRat coefficients
+(``coeffs``, ``coeff`` and ``lead``) are built from that form on every
+read, and ``parts`` reads one coefficient as two Fractions.
 ``from_ratios`` builds a CPoly from (numerator, denominator) int pairs,
-reduced or not, with no Fraction either; the file parser reads every
-coefficient through it.  ``_scaled`` is the one routine that puts such
-pairs over a common denominator, and __init__ and ``from_parts`` use it
-too.  ``_mul_add`` forms a*b +- c*e on the numerators with one content
-removal, which is each component of the star product.  The
-coefficient-list helpers ``_zi_mul``, ``_zi_sub`` and ``_zi_exact_div``
-work on Z[i][z] directly; ``polymatrix.det_bareiss`` runs its whole
-elimination on them.
+reduced or not, with no Fraction and no GaussRat; the file parser and
+HPoly build theirs through it.  ``_scaled`` is the one routine that puts
+such pairs over a common denominator, and __init__ uses it too.
+``_mul_add`` forms a*b +- c*e on the numerators with one content removal,
+which is each component of the star product.
+
+Division has one kernel, ``_zi_divmod``: long division in Z[i][z] that
+scales by a positive integer s only where a quotient coefficient would
+leave Z[i], so s*a = b*q + r, and s = 1 exactly when the quotient lies in
+Z[i][z].  divmod puts the denominators of both operands back around it,
+and ``_zi_exact_div`` is the kernel plus a check that s = 1 and r = 0.
+The coefficient-list helpers ``_zi_mul``, ``_zi_sub`` and
+``_zi_exact_div`` work on Z[i][z] directly; ``polymatrix.det_bareiss``
+runs its whole elimination on them.
 """
 
 from __future__ import annotations
@@ -65,10 +70,6 @@ def _scaled(re: Sequence[Ratio], im: Sequence[Ratio]) -> tuple[int, list[int], l
     return d, [p * (d // q) for p, q in re], [p * (d // q) for p, q in im]
 
 
-def _unscaled(d: int, re: Sequence[int], im: Sequence[int]) -> list[GaussRat]:
-    return [GaussRat(Fraction(x, d), Fraction(y, d)) for x, y in zip(re, im)]
-
-
 # Polynomials over Z[i] as (re, im): two equally long sequences of integer
 # coefficients, ascending, with no trailing zero coefficient; the zero
 # polynomial is ([], []).
@@ -101,33 +102,54 @@ def _zi_sub(a: ZiPoly, b: ZiPoly) -> ZiPoly:
     return re, im
 
 
-def _zi_exact_div(a: ZiPoly, b: ZiPoly) -> ZiPoly:
-    """Quotient a / b in Z[i][z] for nonzero b; ValueError unless b divides a there."""
+def _zi_divmod(a: ZiPoly, b: ZiPoly) -> tuple[int, list[int], list[int], list[int], list[int]]:
+    """(s, qr, qi, rr, ri) with s*a = b*q + r in Z[i][z], deg r < deg b and s > 0, for nonzero b.
+
+    Step k cancels the leading coefficient t of the running remainder with
+    q_k = t / L, L the leading coefficient of b.  As t / L = w / |L|^2 with
+    w = t * conj(L), scaling the remainder, the quotient and s by
+    |L|^2 / gcd(w_r, w_i, |L|^2) makes q_k = w / gcd(w_r, w_i, |L|^2) a
+    Gaussian integer, and that scale is the least positive one that does.
+    So s == 1 exactly when b divides a with a quotient in Z[i][z].  The
+    quotient lists have length deg a - deg b + 1 (none when deg a < deg b),
+    and the remainder lists length min(len(a), deg b), maybe with trailing
+    zeros.
+    """
     br, bi = b
     rr, ri = list(a[0]), list(a[1])
     bdeg = len(br) - 1
-    if len(rr) <= bdeg:
-        if rr:
-            raise ValueError("division is not exact")
-        return [], []
-    # (x + y*i) / (u + v*i) = (x + y*i)(u - v*i) / (u^2 + v^2).
     u, v = br[-1], bi[-1]
     norm = u * u + v * v
-    qr = [0] * (len(rr) - bdeg)
+    s = 1
+    qr = [0] * max(len(rr) - bdeg, 0)
     qi = [0] * len(qr)
     for k in range(len(qr) - 1, -1, -1):
         x, y = rr[k + bdeg], ri[k + bdeg]
         if not (x or y):
             continue
-        s, rem_s = divmod(x * u + y * v, norm)
-        t, rem_t = divmod(y * u - x * v, norm)
-        if rem_s or rem_t:
-            raise ValueError("division is not exact")
-        qr[k], qi[k] = s, t
+        wr, wi = x * u + y * v, y * u - x * v
+        # norm first: the running gcd then never exceeds |L|^2, usually far
+        # smaller than w, where gcd(w_r, w_i) would work on two big integers.
+        g = gcd(norm, wr, wi)
+        scale = norm // g
+        if scale != 1:
+            rr = [scale * t for t in rr]
+            ri = [scale * t for t in ri]
+            qr = [scale * t for t in qr]
+            qi = [scale * t for t in qi]
+            s *= scale
+        x, y = wr // g, wi // g
+        qr[k], qi[k] = x, y
         for m, (p, w) in enumerate(zip(br, bi), k):
-            rr[m] -= s * p - t * w
-            ri[m] -= s * w + t * p
-    if any(rr[:bdeg]) or any(ri[:bdeg]):
+            rr[m] -= x * p - y * w
+            ri[m] -= x * w + y * p
+    return s, qr, qi, rr[:bdeg], ri[:bdeg]
+
+
+def _zi_exact_div(a: ZiPoly, b: ZiPoly) -> ZiPoly:
+    """Quotient a / b in Z[i][z] for nonzero b; ValueError unless b divides a there."""
+    s, qr, qi, rr, ri = _zi_divmod(a, b)
+    if s != 1 or any(rr) or any(ri):
         raise ValueError("division is not exact")
     return qr, qi
 
@@ -140,21 +162,13 @@ class CPoly:
     lcm of the reduced coefficient denominators and the form is canonical.
     """
 
-    __slots__ = ("_ints", "_coeffs")
+    __slots__ = ("_ints",)
 
     def __init__(self, coeffs: Iterable[CoeffLike] = ()):
         cs = [_coeff(c) for c in coeffs]
         self._set_ints(*_scaled(
             [c.re.as_integer_ratio() for c in cs], [c.im.as_integer_ratio() for c in cs]
         ))
-        object.__setattr__(self, "_coeffs", tuple(cs[:len(self._ints[1])]))
-
-    @classmethod
-    def from_parts(cls, re: Sequence[Fraction], im: Sequence[Fraction]) -> "CPoly":
-        """The polynomial with coefficients re[m] + im[m]*i; builds no GaussRat."""
-        return cls.from_ratios(
-            [x.as_integer_ratio() for x in re], [y.as_integer_ratio() for y in im]
-        )
 
     @classmethod
     def from_ratios(cls, re: Sequence[Ratio], im: Sequence[Ratio]) -> "CPoly":
@@ -196,12 +210,8 @@ class CPoly:
 
     @property
     def coeffs(self) -> tuple[GaussRat, ...]:
-        """The coefficients as GaussRats: those __init__ was given, else built on first access."""
-        try:
-            return self._coeffs
-        except AttributeError:
-            object.__setattr__(self, "_coeffs", tuple(_unscaled(*self._ints)))
-            return self._coeffs
+        """The coefficients as GaussRats, ascending, built from the integer form on every read."""
+        return tuple(self.coeff(m) for m in range(self.degree + 1))
 
     @classmethod
     def const(cls, value: CoeffLike) -> "CPoly":
@@ -221,7 +231,7 @@ class CPoly:
     def lead(self) -> GaussRat:
         if not self:
             raise ValueError("zero polynomial has no leading coefficient")
-        return GaussRat(*self.parts(self.degree))
+        return self.coeff(self.degree)
 
     def parts(self, m: int) -> tuple[Fraction, Fraction]:
         """Real and imaginary part of coefficient m, read from the integer form."""
@@ -231,7 +241,7 @@ class CPoly:
         return Fraction(0), Fraction(0)
 
     def coeff(self, m: int) -> GaussRat:
-        return self.coeffs[m] if 0 <= m <= self.degree else GR_ZERO
+        return GaussRat(*self.parts(m))
 
     def __eq__(self, other):
         if not isinstance(other, CPoly):
@@ -270,16 +280,8 @@ class CPoly:
 
     def __mul__(self, other):
         if isinstance(other, (GaussRat, Fraction, int)):
-            # c = (u + v*i) / dc scales every numerator by one Gaussian integer.
-            c = _coeff(other)
-            da, ar, ai = self._ints
-            dc = lcm(c.re.denominator, c.im.denominator)
-            u = c.re.numerator * (dc // c.re.denominator)
-            v = c.im.numerator * (dc // c.im.denominator)
-            re = [x * u - y * v for x, y in zip(ar, ai)]
-            im = [x * v + y * u for x, y in zip(ar, ai)]
-            return CPoly._from_ints(da * dc, re, im)
-        if not isinstance(other, CPoly):
+            other = CPoly.const(other)
+        elif not isinstance(other, CPoly):
             return NotImplemented
         da, ar, ai = self._ints
         db, br, bi = other._ints
@@ -296,42 +298,14 @@ class CPoly:
             return NotImplemented
         if not other:
             raise ZeroDivisionError("polynomial division by zero")
-        if self.degree < other.degree:
-            return CPoly(), self
-        # self = (rr + ri*i) / dr.  Multiplying the divisor by the conjugate
-        # of its leading numerator L gives (cr + ci*i) / db with the positive
-        # integer leading coefficient |L|^2, so each step only rescales the
-        # remainder by an integer.
-        dr, rr, ri = self._ints
-        rr, ri = list(rr), list(ri)
+        # With self = a / da, other = b / db and s*a = b*q + r, the quotient
+        # is (q * db) / (s * da) and the remainder r / (s * da).
+        da, ar, ai = self._ints
         db, br, bi = other._ints
-        lr, li = br[-1], bi[-1]
-        cr = [x * lr + y * li for x, y in zip(br, bi)]
-        ci = [y * lr - x * li for x, y in zip(br, bi)]
-        norm = cr[-1]
-        bdeg = other.degree
-        # The quotient is (qr + qi*i) * db / dr, rescaled along with the remainder.
-        qr = [0] * (self.degree - bdeg + 1)
-        qi = [0] * len(qr)
-        for k in range(len(qr) - 1, -1, -1):
-            x, y = rr[k + bdeg], ri[k + bdeg]
-            if not (x or y):
-                continue
-            g = gcd(x, y, norm)
-            x, y, scale = x // g, y // g, norm // g
-            if scale != 1:
-                rr = [scale * t for t in rr]
-                ri = [scale * t for t in ri]
-                qr = [scale * t for t in qr]
-                qi = [scale * t for t in qi]
-                dr *= scale
-            # Quotient coefficient k is (x + y*i) * conj(L) * db / dr.
-            qr[k], qi[k] = x * lr + y * li, y * lr - x * li
-            for m, (u, v) in enumerate(zip(cr, ci), k):
-                rr[m] -= x * u - y * v
-                ri[m] -= x * v + y * u
-        quo = CPoly._from_ints(dr, [t * db for t in qr], [t * db for t in qi])
-        return quo, CPoly._from_ints(dr, rr[:bdeg], ri[:bdeg])
+        s, qr, qi, rr, ri = _zi_divmod((ar, ai), (br, bi))
+        d = s * da
+        quo = CPoly._from_ints(d, [t * db for t in qr], [t * db for t in qi])
+        return quo, CPoly._from_ints(d, rr, ri)
 
     def __mod__(self, other: "CPoly") -> "CPoly":
         return divmod(self, other)[1]

@@ -66,9 +66,9 @@ class HPoly:
     __slots__ = ("F", "G")
 
     def __init__(self, coeffs: Iterable[QuatLike] = ()):
-        cs = [_quat(c) for c in coeffs]
-        object.__setattr__(self, "F", CPoly.from_parts([c.x0 for c in cs], [c.x1 for c in cs]))
-        object.__setattr__(self, "G", CPoly.from_parts([c.x2 for c in cs], [c.x3 for c in cs]))
+        cs = [[x.as_integer_ratio() for x in _quat(c).components()] for c in coeffs]
+        object.__setattr__(self, "F", CPoly.from_ratios([c[0] for c in cs], [c[1] for c in cs]))
+        object.__setattr__(self, "G", CPoly.from_ratios([c[2] for c in cs], [c[3] for c in cs]))
 
     @classmethod
     def from_split(cls, F: CPoly, G: CPoly) -> "HPoly":

@@ -14,8 +14,10 @@ deleted.  The rank-argument minors of the Koszul certificate are arrowhead
 matrices, and on them this leaves Bareiss elimination a 2 x 2 or 3 x 3
 core (seen for n = 2, 3, 4).  The determinant is built from the factor
 times the remaining determinant and the signed product of the row
-denominators, with one content reduction.  No GaussRat coefficient is
-made unless something reads the result's coeffs.
+denominators, with one content reduction.  The exact division of each
+Bareiss step is cpoly._zi_exact_div, the one long-division kernel of
+cpoly with a check that the quotient lies in Z[i][z] and leaves no
+remainder.  det_bareiss builds no GaussRat.
 """
 
 from __future__ import annotations
@@ -201,10 +203,6 @@ def rank_of_scalar(rows: list[list[GaussRat]]) -> int:
 def rank_at(m: PolyMatrix, z: GaussRat) -> int:
     """Rank of the evaluated matrix at one slice point."""
     return rank_of_scalar(m.evaluate(z))
-
-
-def nullity_at(m: PolyMatrix, z: GaussRat) -> int:
-    return m.cols - rank_at(m, z)
 
 
 @dataclass(frozen=True)

@@ -190,9 +190,6 @@ class Quat:
         c = self.conjugate()
         return Quat(c.x0 / n, c.x1 / n, c.x2 / n, c.x3 / n)
 
-    def is_real(self) -> bool:
-        return not (self.x1 or self.x2 or self.x3)
-
     def __str__(self):
         parts = []
         for value, unit in zip(self.components(), ("", "i", "j", "k")):

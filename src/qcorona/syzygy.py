@@ -20,8 +20,7 @@ from typing import Optional, Sequence
 
 from .cpoly import CP_ZERO, CPoly, dot
 from .hpoly import HPoly
-from .polymatrix import PolyMatrix, nullity_at
-from .scalars import GaussRat
+from .polymatrix import PolyMatrix
 
 
 def hat_swap(v: Sequence[CPoly]) -> list[CPoly]:
@@ -110,17 +109,6 @@ def certificate_column_order(pair: SyzygyPair):
         base = [index_of[(min(ell, m), max(ell, m))] for m in range(two_n) if m != ell]
         for extra in range(k):
             yield tuple(sorted(base + [k + extra]))
-
-
-def kernel_dimension_at(pair: SyzygyPair, z: GaussRat) -> tuple[int, int]:
-    """Pointwise nullities: of the stacked matrix, and of A plus of B.
-
-    For families with no common zeros these equal 4n^2 - 4n and
-    4n^2 - 6n + 2 at every point.
-    """
-    null_ab = nullity_at(pair.combined(), z)
-    null_a_b = nullity_at(pair.A, z) + nullity_at(pair.B, z)
-    return null_ab, null_a_b
 
 
 @dataclass(frozen=True)

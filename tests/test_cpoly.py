@@ -9,6 +9,7 @@ import hypothesis.strategies as st
 from qcorona.cpoly import (
     CP_ONE,
     CPoly,
+    _zi_divmod,
     bezout_multi,
     bezout_pair,
     gcd_monic,
@@ -174,6 +175,58 @@ class TestArithmetic:
         q, r = divmod(a, b)
         assert q * b + r == a
         assert r.is_zero() or r.degree < b.degree
+
+
+def _zi(pairs):
+    """The Z[i][z] polynomial (re, im) with these (re, im) coefficients, stripped."""
+    pairs = list(pairs)
+    while pairs and pairs[-1] == (0, 0):
+        pairs.pop()
+    return [x for x, _ in pairs], [y for _, y in pairs]
+
+
+def _cp(p):
+    """The Z[i][z] polynomial p as a CPoly."""
+    return CPoly(GaussRat(x, y) for x, y in zip(*p))
+
+
+zi_coeffs = st.tuples(st.integers(-4, 4), st.integers(-4, 4))
+zi_polys = st.lists(zi_coeffs, max_size=7).map(_zi)
+# Leading coefficients L with |L|^2 > 1, so that a step can need a scale.
+zi_divisors = st.builds(
+    lambda low, lead: _zi(low + [lead]),
+    st.lists(zi_coeffs, max_size=3),
+    st.sampled_from([(1, 1), (2, 1), (3, 0), (1, -2), (0, 2), (-2, -2)]),
+)
+
+
+class TestZiDivmod:
+    """_zi_divmod(a, b) = (s, qr, qi, rr, ri): s*a = b*q + r, deg r < deg b, s > 0."""
+
+    @given(zi_polys, zi_divisors)
+    def test_scaled_division_identity(self, a, b):
+        s, qr, qi, rr, ri = _zi_divmod(a, b)
+        assert s > 0
+        assert len(qr) == len(qi) == max(len(a[0]) - len(b[0]) + 1, 0)
+        assert _cp(a) * s == _cp(b) * _cp((qr, qi)) + _cp((rr, ri))
+        assert _cp((rr, ri)).degree < _cp(b).degree
+
+    @given(zi_polys, zi_divisors, zi_polys)
+    def test_quotient_in_z_i_needs_no_scale(self, q, b, r):
+        """a = b*q + r with q in Z[i][z] and deg r < deg b, r = 0 included, gives s = 1."""
+        r = _zi(list(zip(*r))[:len(b[0]) - 1])
+        a = _cp(b) * _cp(q) + _cp(r)
+        s, qr, qi, rr, ri = _zi_divmod(_zi((c.re.numerator, c.im.numerator) for c in a.coeffs), b)
+        assert s == 1
+        assert _cp((qr, qi)) == _cp(q) and _cp((rr, ri)) == _cp(r)
+
+    def test_a_unit_quotient_by_a_non_unit_lead(self):
+        # w = (1+i)(1-i) = 2 is divisible by |L|^2 = 2, while t = 1+i alone is not.
+        assert _zi_divmod(([1], [1]), ([1], [1])) == (1, [1], [0], [], [])
+
+    def test_non_integral_quotient_is_scaled(self):
+        # z / (2z + 1): s = 2, q = 1, r = -1.
+        assert _zi_divmod(([0, 1], [0, 0]), ([1, 2], [0, 0])) == (2, [1], [0], [-1], [0])
 
 
 class TestCanonicalForm:

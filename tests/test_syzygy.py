@@ -8,11 +8,19 @@ import pytest
 
 from qcorona import generate
 from qcorona.cpoly import CP_ONE, dot
-from qcorona.polymatrix import det_bareiss
-from qcorona.syzygy import build_koszul, certificate_column_order, hat_swap, kernel_dimension_at
+from qcorona.polymatrix import det_bareiss, rank_at
+from qcorona.syzygy import build_koszul, certificate_column_order, hat_swap
 
 # (n, degree): the rank-argument minors are 2n x 2n, up to 8 x 8.
 FAMILIES = [(1, 1), (1, 3), (2, 1), (2, 3), (3, 1), (3, 2), (4, 1), (4, 2)]
+
+
+def kernel_dimension_at(pair, z):
+    """Pointwise nullities: of the stacked matrix, and of A plus of B."""
+    def nullity(m):
+        return m.cols - rank_at(m, z)
+
+    return nullity(pair.combined()), nullity(pair.A) + nullity(pair.B)
 
 
 def _pair(n, degree):
