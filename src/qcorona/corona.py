@@ -103,7 +103,7 @@ class CoronaSolution:
 
     remainders is the remainder sequence of the right Euclid that decided
     the family, which solve_corona fills in; it is None where no Euclid
-    ran, as in koszul_solve alone.
+    ran, as in koszul_solve alone and in a solution parsed from a file.
     """
 
     hs: tuple[HPoly, ...]

@@ -16,6 +16,9 @@ built under, and a file without one is checked by the identity alone:
     minor 0 det = [1, 0] [0, -1/2]
     minor 0 witness = [2, 0]
 
+A solution file parses into a CoronaSolution whose certificate is empty
+when the file has none; its remainders is None, since no Euclid ran.
+
 Rationals are written as integer or "p/q" strings; nothing is ever rounded,
 so parse -> serialize -> parse is the identity.  Lines that match no rule,
 a bracket with an empty component and a repeated minor line are rejected
@@ -32,7 +35,6 @@ as x/d reduced by one gcd, which is exactly str(Fraction(x, d)).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Optional, Union
@@ -167,17 +169,6 @@ def serialize_instance(inst: CoronaInstance) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class SolutionFile:
-    """Parsed solution: the h polynomials plus the certificate, empty when the file has none."""
-
-    hs: tuple[HPoly, ...]
-    certificate: FullRankCertificate
-
-    def has_certificate(self) -> bool:
-        return bool(self.certificate.minors)
-
-
 _MINOR_RE = re.compile(r"^minor\s+(\d+)\s+(cols|det|witness)\s*=\s*(.*)$")
 
 
@@ -195,7 +186,7 @@ def serialize_solution(solution: CoronaSolution) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_solution_text(text: str) -> SolutionFile:
+def parse_solution_text(text: str) -> CoronaSolution:
     hs: list[HPoly] = []
     names: list[str] = []
     cols: dict[int, tuple[int, ...]] = {}
@@ -230,9 +221,9 @@ def parse_solution_text(text: str) -> SolutionFile:
         tuple(wits[k] for k in order),
         len(order),
     )
-    return SolutionFile(tuple(hs), cert)
+    return CoronaSolution(tuple(hs), cert, None)
 
 
-def parse_solution(path: str) -> SolutionFile:
+def parse_solution(path: str) -> CoronaSolution:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_solution_text(fh.read())

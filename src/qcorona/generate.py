@@ -63,8 +63,17 @@ def random_coprime_instance(rng: random.Random, n: int = 2, degree: int = 3) -> 
     return CoronaInstance.from_polys(fs)
 
 
+# Each coordinate of a slice point is drawn as a/b with |a| <= 12 and 1 <= b <= 5.
+_POINT_POOL = len({Fraction(a, b) for a in range(-12, 13) for b in range(1, 6)}) ** 2
+
+
 def sample_slice_points(count: int, seed: int = 2024) -> list[GaussRat]:
-    """Deterministic distinct rational slice points for rank sampling."""
+    """Deterministic distinct rational slice points for rank sampling.
+
+    ValueError unless 1 <= count <= 7225, the number of points the draws reach.
+    """
+    if not 1 <= count <= _POINT_POOL:
+        raise ValueError(f"sample point count must be between 1 and {_POINT_POOL}, got {count}")
     rng = random.Random(seed)
     points: list[GaussRat] = []
     seen = set()

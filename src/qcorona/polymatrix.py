@@ -223,8 +223,14 @@ class FullRankCertificate:
         return dot(self.witnesses, self.minors)
 
     def verify(self, m: PolyMatrix) -> bool:
-        """Recompute every stored minor from m and check the Bezout identity."""
+        """Recompute every stored minor from m and check the Bezout identity.
+
+        A column set that is not m.rows indices in 0 .. m.cols - 1 names no
+        maximal minor of m: it makes the check false, and nothing raises.
+        """
         for cols, minor in zip(self.minor_indices, self.minors):
+            if len(cols) != m.rows or not all(0 <= c < m.cols for c in cols):
+                return False
             if det_bareiss(m.submatrix(cols)) != minor:
                 return False
         return self.combination().is_one()

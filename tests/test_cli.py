@@ -101,6 +101,22 @@ def test_malformed_point_has_no_line(capsys):
     assert "line" not in err
 
 
+@pytest.mark.parametrize("count", ["0", "-5"])
+def test_rank_rejects_a_sample_count_below_one(capsys, count):
+    code, out, err = run(capsys, "rank", INSTANCES / "easy.inst", "--sample-points", count)
+    assert code == 2 and out == ""
+    assert err == f"error: sample point count must be between 1 and 7225, got {count}\n"
+
+
+def test_rank_rejects_more_sample_points_than_the_draws_reach():
+    # 85 distinct coordinates a/b give 7225 points; asking for more must not loop forever.
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    argv = [sys.executable, "-m", "qcorona.cli", "rank", str(INSTANCES / "easy.inst"), "--sample-points", "7226"]
+    out = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=10)
+    assert out.returncode == 2 and out.stdout == ""
+    assert out.stderr == "error: sample point count must be between 1 and 7225, got 7226\n"
+
+
 def test_missing_files_exit_2(capsys, tmp_path):
     for argv in (
         ("solve", tmp_path / "absent.inst"),
@@ -114,7 +130,7 @@ def test_missing_files_exit_2(capsys, tmp_path):
 def test_solution_without_certificate_parses_and_verifies(capsys, tmp_path):
     sol = tmp_path / "plain.sol"
     sol.write_text("h1 = [0, 1/5, -2/5, 0]\nh2 = [0, -1/5, 2/5, 0]\n", encoding="utf-8")
-    assert not parse_solution_text(sol.read_text(encoding="utf-8")).has_certificate()
+    assert not parse_solution_text(sol.read_text(encoding="utf-8")).certificate.minors
     code, out, _ = run(capsys, "verify", INSTANCES / "easy.inst", sol)
     assert code == 0
     report = json.loads(out[:out.rindex("}") + 1])
@@ -126,7 +142,7 @@ def test_koszul_solution_with_certificate_verifies(capsys, tmp_path):
     solution = koszul_solve(parse_instance(str(inst_path)))
     sol = tmp_path / "koszul.sol"
     sol.write_text(serialize_solution(solution), encoding="utf-8")
-    assert parse_solution_text(sol.read_text(encoding="utf-8")).has_certificate()
+    assert parse_solution_text(sol.read_text(encoding="utf-8")).certificate.minors
     code, out, _ = run(capsys, "verify", inst_path, sol)
     assert code == 0
     assert json.loads(out[:out.rindex("}") + 1])["certificate_combination_holds"]

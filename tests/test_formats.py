@@ -115,7 +115,7 @@ def test_instance_roundtrip(inst):
 @given(st.lists(nonzero_hpolys(3), min_size=1, max_size=3), certificates())
 def test_solution_roundtrip_with_certificate(hs, cert):
     text, first, again, second = _solution_roundtrip(CoronaSolution(tuple(hs), cert, None))
-    assert first.has_certificate()
+    assert first.certificate.minors
     assert first.hs == tuple(hs)
     assert first.certificate.minors == cert.minors
     assert first.certificate.witnesses == cert.witnesses

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -257,6 +258,40 @@ class TestMinorGcdCertificate:
         m = PolyMatrix(2, 1, [CP_Z, CP_ONE])
         with pytest.raises(ValueError):
             minor_gcd_certificate(m, every_maximal_minor(m))
+
+
+# Column sets that name no maximal minor, each put in place of the last set
+# of a genuine certificate.  The 1 x 2 row's flat index would read -1 as
+# column 1, the same entry as the set it replaces.
+FOREIGN_COLUMN_SETS = [
+    pytest.param(1, (), id="1x2-too-short"),
+    pytest.param(1, (2,), id="1x2-index-at-cols"),
+    pytest.param(1, (-1,), id="1x2-negative-index"),
+    pytest.param(2, (0,), id="2x3-too-short"),
+    pytest.param(2, (0, 99), id="2x3-index-past-cols"),
+]
+
+
+def _foreign_certificate(rows, cols):
+    m = PolyMatrix(1, 2, [CP_Z, ONE_MINUS_Z]) if rows == 1 else PolyMatrix(2, 3, [
+        CP_ONE, CP_Z, CPoly(),
+        CPoly(), CP_ONE, CP_Z,
+    ])
+    cert = minor_gcd_certificate(m, every_maximal_minor(m))
+    return m, replace(cert, minor_indices=cert.minor_indices[:-1] + (cols,))
+
+
+@pytest.mark.parametrize("rows, cols", FOREIGN_COLUMN_SETS)
+def test_certificate_with_a_foreign_column_set_fails_verify_without_raising(rows, cols):
+    m, cert = _foreign_certificate(rows, cols)
+    assert cert.verify(m) is False
+
+
+@pytest.mark.parametrize("rows, cols", FOREIGN_COLUMN_SETS)
+def test_solve_full_rank_rejects_a_foreign_column_set(rows, cols):
+    m, cert = _foreign_certificate(rows, cols)
+    with pytest.raises(CertificateMismatch):
+        solve_full_rank(m, [CP_ONE] * m.rows, cert)
 
 
 class TestSolveFullRank:
