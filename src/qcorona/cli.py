@@ -6,8 +6,10 @@ It has two entry points, the installed ``qcorona`` console script and
 Reports go to stdout as canonical JSON with every number rendered as an
 exact rational string, so output is deterministic byte-for-byte and
 re-verification never passes through floating point.  Exit codes: 0 on
-success, 1 on obstruction or failed verification, 2 only on a usage error
-or a malformed or missing input file.  solve and diagnose always decide:
+success, 1 on obstruction or failed verification, 2 only on a usage error,
+a malformed input file or a path that cannot be read or written.  A closed
+stdout loses the report only: stderr stays empty, and the solution file
+and the exit code are as with stdout open.  solve and diagnose always decide:
 the right Euclidean algorithm either proves a solution exists, which solve
 then constructs, or names the common zeros.  verify fails a solution whose
 identity does not hold, or whose certificate section, when present, does
@@ -56,8 +58,18 @@ def sphere_json(sphere) -> dict:
     return {"x": str(sphere.x), "y_squared": str(sphere.y_squared)}
 
 
-def emit(report: dict) -> None:
-    print(json.dumps(report, indent=2))
+def emit(report: dict, *lines: str) -> None:
+    """Print the report as JSON, then any further lines; a closed stdout loses them only.
+
+    A closed stdout raises here, in the flush, and then moves to the null
+    device, so the flush at exit succeeds and the command keeps its exit code.
+    """
+    try:
+        print(json.dumps(report, indent=2), *lines, sep="\n", flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _pick(inst: CoronaInstance, name: str) -> HPoly:
@@ -147,7 +159,6 @@ def cmd_zeros(args) -> int:
 def cmd_syzygy(args) -> int:
     inst = parse_instance(args.instance)
     pair = build_koszul(inst.fs)
-    combined = pair.combined()
     p = pair.p
     w = hat_swap(p)
     a_ok = all(dot(p, pair.A.column(c)).is_zero() for c in range(pair.A.cols))
@@ -173,7 +184,7 @@ def cmd_syzygy(args) -> int:
         "n": n,
         "shape_A": [pair.A.rows, pair.A.cols],
         "shape_B": [pair.B.rows, pair.B.cols],
-        "shape_combined": [combined.rows, combined.cols],
+        "shape_combined": [pair.combined.rows, pair.combined.cols],
         "A_columns_annihilate": a_ok,
         "B_columns_annihilate": b_ok,
         "natural_syzygies": naturals,
@@ -185,7 +196,7 @@ def cmd_syzygy(args) -> int:
 def cmd_rank(args) -> int:
     inst = parse_instance(args.instance)
     pair = build_koszul(inst.fs)
-    combined = pair.combined()
+    combined = pair.combined
     n = inst.n
     points = sample_slice_points(args.sample_points)
     rows = []
@@ -288,19 +299,17 @@ def cmd_verify(args) -> int:
     if len(sol.hs) != inst.n:
         report["result"] = "FAIL"
         report["reason"] = f"instance has {inst.n} polynomials, solution has {len(sol.hs)}"
-        emit(report)
-        print("FAIL")
+        emit(report, "FAIL")
         return 1
     passed = verify_identity(inst.fs, sol.hs)
     report["identity_holds"] = passed
     cert = sol.certificate
     if cert.minors:
         report["certificate_combination_holds"] = cert.combination().is_one()
-        report["certificate_matches_instance"] = cert.verify(build_koszul(inst.fs).combined())
+        report["certificate_matches_instance"] = cert.verify(build_koszul(inst.fs).combined)
         passed = passed and report["certificate_matches_instance"]
     report["result"] = "PASS" if passed else "FAIL"
-    emit(report)
-    print(report["result"])
+    emit(report, report["result"])
     return 0 if passed else 1
 
 
@@ -359,8 +368,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError) as exc:
-        # InstanceFormatError is a ValueError.
+    except (ValueError, OSError) as exc:
+        # InstanceFormatError is a ValueError; an unusable path is an OSError.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -152,10 +152,7 @@ def particular_solution(p: Sequence[CPoly]) -> list[CPoly]:
 
 
 def correct_and_assemble(
-    p: Sequence[CPoly],
-    u: Sequence[CPoly],
-    pair: SyzygyPair,
-    cert: FullRankCertificate,
+    u: Sequence[CPoly], pair: SyzygyPair, cert: FullRankCertificate
 ) -> list[HPoly]:
     """Fix up a first-equation solution so both split equations hold.
 
@@ -166,13 +163,13 @@ def correct_and_assemble(
     H_l + K_l j.
     """
     h_rhs = hat_swap(u)
-    x = solve_full_rank(pair.combined(), h_rhs, cert)
+    x = solve_full_rank(pair.combined, h_rhs, cert)
     beta = x[pair.A.cols:]
     correction = pair.A.mul_vector([b.hat() for b in beta])
     v = [ui + ci for ui, ci in zip(u, correction)]
 
-    first = dot(p, v)
-    second = dot(p, hat_swap(v))
+    first = dot(pair.p, v)
+    second = dot(pair.p, hat_swap(v))
     if not first.is_one() or not second.is_zero():
         raise InternalCheckError("corrected vector does not satisfy the split system")
 
@@ -190,13 +187,13 @@ def koszul_solve(inst: CoronaInstance) -> CoronaSolution:
     """
     inst.check_not_all_zero()
     pair = build_koszul(inst.fs)
-    cert = minor_gcd_certificate(pair.combined(), certificate_column_order(pair))
+    cert = minor_gcd_certificate(pair.combined, certificate_column_order(pair))
     if isinstance(cert, RankObstruction):
         raise InternalCheckError(
             f"rank-argument minors share the factor {cert.gcd} after {cert.minors_examined} minors"
         )
     u = particular_solution(pair.p)
-    hs = correct_and_assemble(pair.p, u, pair, cert)
+    hs = correct_and_assemble(u, pair, cert)
     if not verify_identity(inst.fs, hs):
         raise InternalCheckError("assembled solution failed the star identity")
     return CoronaSolution(tuple(hs), cert, None)

@@ -7,7 +7,8 @@ growth in check.
 
 The extended Euclidean algorithm lives here once, for C[z] and for H[q]
 alike: bezout_pair is the step and bezout_fold the fold over a family.
-Both use only divmod, right products and right scalings, and C[z] is the
+Both use only divmod, right products and right scalings, one scale per
+step, built once as a constant polynomial, and C[z] is the
 i-slice of H[q], where right division is ordinary division, so
 bezout_multi and hpoly.right_bezout run the same code.  gcd_monic is the
 witness-free gcd.
@@ -17,8 +18,8 @@ denominator, (d, re, im), with the content gcd(d, *re, *im) removed once
 per polynomial when it is built; that form is canonical, so equality and
 hashing compare it directly.  Products, sums, differences, negation, hat
 and divmod run on the numerators in plain integer arithmetic and build
-their result from (d, re, im); a GaussRat, Fraction or int factor is
-multiplied as a constant polynomial.  The GaussRat coefficients
+their result from (d, re, im).  A product takes two CPolys; a scalar
+enters only through ``const``.  The GaussRat coefficients
 (``coeffs``, ``coeff`` and ``lead``) are built from that form on every
 read, and ``parts`` reads one coefficient as two Fractions.
 ``from_ratios`` builds a CPoly from (numerator, denominator) int pairs,
@@ -278,20 +279,13 @@ class CPoly:
         d, re, im = self._ints
         return CPoly._from_ints(d, [-x for x in re], [-y for y in im])
 
-    def __mul__(self, other):
-        if isinstance(other, (GaussRat, Fraction, int)):
-            other = CPoly.const(other)
-        elif not isinstance(other, CPoly):
+    def __mul__(self, other: "CPoly") -> "CPoly":
+        if not isinstance(other, CPoly):
             return NotImplemented
         da, ar, ai = self._ints
         db, br, bi = other._ints
         re, im = _zi_mul((ar, ai), (br, bi))
         return CPoly._from_ints(da * db, re, im)
-
-    def __rmul__(self, other):
-        if isinstance(other, (GaussRat, Fraction, int)):
-            return self * other
-        return NotImplemented
 
     def __divmod__(self, other: "CPoly") -> tuple["CPoly", "CPoly"]:
         if not isinstance(other, CPoly):
@@ -319,7 +313,7 @@ class CPoly:
     def monic(self) -> "CPoly":
         if self.is_zero():
             return self
-        return self * self.lead().inverse()
+        return self * CPoly.const(self.lead().inverse())
 
     def hat(self) -> "CPoly":
         """Coefficientwise conjugation; an involutive ring automorphism."""
@@ -390,9 +384,11 @@ def bezout_pair(a, b, remainders: list | None = None):
     invariant r_k = a*x_k + b*y_k carries each division
     r_{k-1} = r_k*q + r_{k+1} over to the witnesses on the right,
     x_{k+1} = x_{k-1} - x_k*q, which H[q] needs and C[z] does not notice.
-    Each remainder is rescaled on the right to monic, which bounds
-    coefficient growth at the degrees this package works with, and appended
-    to remainders when a list is given.
+    Each step builds one scale, the constant inverse of the remainder's
+    leading coefficient, and multiplies the remainder and both witnesses on
+    the right by it.  Monic remainders bound coefficient growth at the
+    degrees this package works with; each is appended to remainders when a
+    list is given.
     """
     one, zero = type(a).const(1), type(a)()
     r0, r1 = a, b
@@ -403,14 +399,14 @@ def bezout_pair(a, b, remainders: list | None = None):
         x = x0 - x1 * q
         y = y0 - y1 * q
         if r:
-            s = r.lead().inverse()
+            s = type(r).const(r.lead().inverse())
             r, x, y = r * s, x * s, y * s
             if remainders is not None:
                 remainders.append(r)
         r0, r1, x0, x1, y0, y1 = r1, r, x1, x, y1, y
     if not r0:
         return zero, zero, zero
-    s = r0.lead().inverse()
+    s = type(r0).const(r0.lead().inverse())
     return r0 * s, x0 * s, y0 * s
 
 

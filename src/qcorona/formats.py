@@ -10,7 +10,8 @@ coefficient a bracketed quadruple of exact rationals:
 A solution file mirrors the instance format for the produced polynomials
 (named h1, h2, ... in instance order).  The certificate section after them
 is optional: `solve` appends the minor-gcd certificate its solution was
-built under, and a file without one is checked by the identity alone:
+built under, whose minors all have a nonzero witness (a zero one still
+verifies), and a file without one is checked by the identity alone:
 
     minor 0 cols = 0 3
     minor 0 det = [1, 0] [0, -1/2]

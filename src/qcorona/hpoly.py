@@ -17,9 +17,10 @@ for f = F + G j and g = H + K j
 so H[q] runs on the Gaussian-integer arithmetic of cpoly and has no
 arithmetic kernel of its own.  Each component of a star product, and the
 symmetrization, is one cpoly._mul_add: two products and their sum on the
-numerators, reduced once.  A scalar factor takes the same route as a
-constant polynomial.  The Quat coefficients (``coeffs``) are built from the
-integer form of (F, G) on every read and are not cached.
+numerators, reduced once.  A product takes two HPolys; a scalar enters
+only through ``const``, as the one scale of each Euclid step does.  The
+Quat coefficients (``coeffs``) are built from the integer form of (F, G)
+on every read and are not cached.
 
 Because the variable is central and every nonzero coefficient is
 invertible, H[q] has a right division algorithm, which is what divmod on
@@ -132,9 +133,7 @@ class HPoly:
 
     def __mul__(self, other):
         """Star product (F + G j)(H + K j) = (F H - G hat(K)) + (F K + G hat(H)) j."""
-        if isinstance(other, (Quat, Fraction, int)):
-            other = HPoly.const(other)
-        elif not isinstance(other, HPoly):
+        if not isinstance(other, HPoly):
             return NotImplemented
         F, G, H, K = self.F, self.G, other.F, other.G
         return HPoly.from_split(_mul_add(F, H, G, K.hat(), -1), _mul_add(F, K, G, H.hat(), 1))

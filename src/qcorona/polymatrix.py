@@ -211,7 +211,8 @@ class FullRankCertificate:
 
     The stored maximal minors are coprime: sum(witness_k * minor_k) = 1.
     Each minor records the column set that produced it, which is exactly
-    what the Cramer-based solver consumes.
+    what the Cramer-based solver consumes.  minor_gcd_certificate stores
+    only minors with a nonzero witness; verify accepts a zero one too.
     """
 
     minor_indices: tuple[tuple[int, ...], ...]
@@ -260,7 +261,8 @@ def minor_gcd_certificate(
     Each column set in column_order names one maximal minor; repeats are
     skipped.  Only minors that strictly shrink the running gcd are
     retained, so the certificate stays small.  When the gcd reaches 1 the
-    retained minors get Bezout witnesses and form the certificate.  When
+    retained minors get Bezout witnesses, and those with a nonzero witness
+    form the certificate.  When
     the order runs out first, the running gcd is returned as a
     RankObstruction; that proves an obstruction only when the order
     covers every maximal column set, combinations(range(m.cols), m.rows).
@@ -286,9 +288,8 @@ def minor_gcd_certificate(
             running = refined
         if running.is_one():
             _, witnesses = bezout_multi(kept_minors)
-            return FullRankCertificate(
-                tuple(kept_cols), tuple(kept_minors), tuple(witnesses), len(seen)
-            )
+            used = [(c, d, w) for c, d, w in zip(kept_cols, kept_minors, witnesses) if w]
+            return FullRankCertificate(*map(tuple, zip(*used)), len(seen))
     # A zero gcd means every examined minor vanishes identically.
     return RankObstruction(running, len(seen))
 
@@ -315,14 +316,9 @@ def solve_full_rank(
     solution = [CP_ZERO] * m.cols
     h_col = list(h)
     for cols, witness in zip(cert.minor_indices, cert.witnesses):
-        if witness.is_zero():
-            continue
         sub = m.submatrix(cols)
         for slot, col in enumerate(cols):
-            component = det_bareiss(sub.replace_column(slot, h_col))
-            if component.is_zero():
-                continue
-            solution[col] = solution[col] + witness * component
+            solution[col] = solution[col] + witness * det_bareiss(sub.replace_column(slot, h_col))
     if m.mul_vector(solution) != h_col:
         raise CertificateMismatch("solution failed the exact post-check")
     return solution

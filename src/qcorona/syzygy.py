@@ -3,7 +3,8 @@ counterparts.
 
 An HPoly f_l is stored as its split F_l + G_l j, so a family of n
 quaternionic polynomials gives the length-2n vector
-P = (F1, G1, ..., Fn, Gn) directly; SyzygyPair keeps it as p.  Matrix A
+P = (F1, G1, ..., Fn, Gn) directly; SyzygyPair keeps it as p, and the
+stacked system matrix (A, -B) as combined.  Matrix A
 collects the standard Koszul relations of P, one column per index pair;
 matrix B is obtained from A by the hat-swap operator and collects (up to
 sign) the Koszul relations of the swapped vector
@@ -58,22 +59,20 @@ def koszul_matrix(vec: Sequence[CPoly]) -> PolyMatrix:
 class SyzygyPair:
     """The two Koszul matrices attached to a family of quaternionic polynomials.
 
-    p is the interleaved split vector (F1, G1, ..., Fn, Gn).
+    combined is the stacked system matrix (A, -B), and p the interleaved
+    split vector (F1, G1, ..., Fn, Gn).
     """
 
     A: PolyMatrix
     B: PolyMatrix
+    combined: PolyMatrix
     n: int
     p: tuple[CPoly, ...]
     pairs: tuple[tuple[int, int], ...]
 
-    def combined(self) -> PolyMatrix:
-        """The stacked system matrix (A, -B)."""
-        return self.A.hstack(self.B.negate())
-
 
 def build_koszul(fs: Sequence[HPoly]) -> SyzygyPair:
-    """Assemble A and B for the given polynomials.
+    """Assemble A, B and the stacked matrix (A, -B) for the given polynomials.
 
     A is the Koszul matrix of the interleaved splits P; B applies hat_swap to
     each column of A, which lands on signed Koszul relations of the swapped
@@ -88,7 +87,7 @@ def build_koszul(fs: Sequence[HPoly]) -> SyzygyPair:
     b = PolyMatrix(a.rows, a.cols,
                    [b_cols[c][r] for r in range(a.rows) for c in range(a.cols)])
     pairs = tuple(combinations(range(2 * n), 2))
-    return SyzygyPair(a, b, n, p, pairs)
+    return SyzygyPair(a, b, a.hstack(b.negate()), n, p, pairs)
 
 
 def certificate_column_order(pair: SyzygyPair):

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,8 +11,11 @@ import pytest
 
 from qcorona import cli
 from qcorona.corona import CoronaInstance, koszul_solve
+from qcorona.cpoly import CP_ZERO
 from qcorona.formats import parse_instance, parse_solution_text, serialize_instance, serialize_solution
+from qcorona.polymatrix import det_bareiss
 from qcorona.scalars import Q_I, Q_J, Q_K
+from qcorona.syzygy import build_koszul, certificate_column_order
 
 from conftest import q_minus
 
@@ -118,13 +122,37 @@ def test_rank_rejects_more_sample_points_than_the_draws_reach():
 
 
 def test_missing_files_exit_2(capsys, tmp_path):
-    for argv in (
-        ("solve", tmp_path / "absent.inst"),
-        ("verify", INSTANCES / "easy.inst", tmp_path / "absent.sol"),
+    # Each case names the path its error line must quote.
+    for argv, path in (
+        (("solve", tmp_path / "absent.inst"), tmp_path / "absent.inst"),
+        (("verify", INSTANCES / "easy.inst", tmp_path / "absent.sol"), tmp_path / "absent.sol"),
+        # A directory where a file is read or written; -o fails only after the solve.
+        (("solve", INSTANCES), INSTANCES),
+        (("verify", INSTANCES / "easy.inst", INSTANCES), INSTANCES),
+        (("solve", INSTANCES / "easy.inst", "-o", tmp_path), tmp_path),
     ):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
-        assert err.startswith("error:") and "absent" in err
+        assert err.startswith("error:") and f"'{path}'" in err
+
+
+@pytest.mark.parametrize("command, instance, code", [
+    ("solve", "easy.inst", 0), ("diagnose", "dup.inst", 1),
+])
+def test_a_closed_stdout_loses_the_report_and_nothing_else(tmp_path, command, instance, code):
+    # The reader closes its end before the child writes, as `qcorona ... | true` can.
+    sol = tmp_path / "easy.sol"
+    argv = [sys.executable, "-m", "qcorona.cli", command, str(INSTANCES / instance)]
+    if command == "solve":
+        argv += ["-o", str(sol)]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == code
+    assert err == b""
+    assert sol.is_file() == (command == "solve")
 
 
 def test_solution_without_certificate_parses_and_verifies(capsys, tmp_path):
@@ -146,6 +174,33 @@ def test_koszul_solution_with_certificate_verifies(capsys, tmp_path):
     code, out, _ = run(capsys, "verify", inst_path, sol)
     assert code == 0
     assert json.loads(out[:out.rindex("}") + 1])["certificate_combination_holds"]
+
+
+def test_certificate_with_a_zero_witness_minor_verifies(capsys, tmp_path):
+    """A certificate that also lists a genuine minor with a zero witness still passes.
+
+    solve writes no such minor, but a file that holds one is still a valid certificate.
+    """
+    inst_path = INSTANCES / "easy.inst"
+    inst = parse_instance(str(inst_path))
+    solution = koszul_solve(inst)
+    cert = solution.certificate
+    pair = build_koszul(inst.fs)
+    cols, minor = next(
+        (cols, minor) for cols in certificate_column_order(pair)
+        if cols not in cert.minor_indices and (minor := det_bareiss(pair.combined.submatrix(cols)))
+    )
+    older = replace(
+        cert,
+        minor_indices=(cols,) + cert.minor_indices,
+        minors=(minor,) + cert.minors,
+        witnesses=(CP_ZERO,) + cert.witnesses,
+    )
+    sol = tmp_path / "older.sol"
+    sol.write_text(serialize_solution(replace(solution, certificate=older)), encoding="utf-8")
+    assert "minor 0 witness = [0, 0]" in sol.read_text(encoding="utf-8")
+    code, report, verdict = _verify_report(capsys, inst_path, sol)
+    assert (code, verdict) == (0, "PASS") and report["certificate_matches_instance"]
 
 
 def _verify_report(capsys, inst_path, sol):

@@ -240,7 +240,7 @@ def test_euclid_and_koszul_routes_agree(label, fs):
         assert all(_is_rank_argument_set(pair, cols) for cols in koszul.certificate.minor_indices)
         return
     # Every maximal minor, in lexicographic order: the gcd does not depend on the order.
-    stacked = pair.combined()
+    stacked = pair.combined
     reference = minor_gcd_certificate(stacked, every_maximal_minor(stacked))
     assert isinstance(reference, RankObstruction)
     # The Koszul gcd is Gaussian; times its hat it has the same spheres.
@@ -257,6 +257,11 @@ def test_certificate_order_is_the_rank_argument(n):
     order = list(certificate_column_order(pair))
     assert len(order) == _rank_argument_bound(n)
     assert all(_is_rank_argument_set(pair, cols) for cols in order)
+
+
+def test_q_and_one_are_certified_by_one_minor():
+    cert = koszul_solve(CoronaInstance.from_polys([HP_Q, HP_ONE])).certificate
+    assert len(cert.minors) == 1 and cert.minors_examined == 18
 
 
 def test_koszul_solve_on_an_obstructed_family_is_an_internal_error(monkeypatch):
@@ -286,12 +291,12 @@ def test_every_seeded_family_kind_is_covered():
 # instances and three seeded families.  The arithmetic kernels may change
 # how a solution is computed, never a byte of it.
 SOLUTION_DIGESTS = {
-    "easy": "71474a4b3a68a7a3ab6cfc80afae676b96b9e571e97a0d94e7623364951ae4e0",
-    "hard": "22af4b66698d63f1b26db29dabd7b039828b989e98c0b46ce8b059c7ab8a0b97",
-    "triple": "8b97ad87c54d768ec7d4cbd04555eaf7a8b3d88d8964bc41cda01addf2a99a20",
-    "pin:2:2": "19f77eab1fc10aa21321ca3882c96e3f380b7b35f77b14b6b7dc467b2505043a",
-    "pin:3:1": "55f99dc003a009a721f79a06ee7e699acb0846bb65753a4154752a30cd33cc28",
-    "pin:2:3": "34e45b607cfa29b60fc31cf5a640e785b7cefd740cdf67d48e57410f334192a4",
+    "easy": "f945b42223d54d106a3762b683ebe8cae1a1c3092fef1f66d9cb06ae728077ff",
+    "hard": "36441e6b58dc0faa483b44ae359f24ba6e21aac1d53bf7856d44b88a0b091653",
+    "triple": "38e571b5b4b25a3ff746040dd6afe886bb426dd8557e1d7131dfea9140dbf8b5",
+    "pin:2:2": "f8cc86cdea8a099779c64fc6fb02d45f4cdee6e4ce8262c751d1bf669591017a",
+    "pin:3:1": "3914b4bc95776988d67b1a75b7a67e9b7fef7d2bee775455d5b60dee46319574",
+    "pin:2:3": "2e383bd6a63af4f528507a73fc6658e58c6396c955d922c35d6ee7fdc9c80d3a",
 }
 
 

@@ -151,22 +151,23 @@ class TestArithmetic:
 
     @given(cpolys(3), gauss_rats)
     def test_scalar_product_matches_scalar_arithmetic(self, a, c):
-        assert a * c == CPoly([x * c for x in a.coeffs])
+        assert a * CPoly.const(c) == CPoly([x * c for x in a.coeffs])
         for k in (c.re, c.im.numerator, 0):
-            assert a * k == CPoly([x * GaussRat(k) for x in a.coeffs])
-            assert k * a == a * k
+            assert a * CPoly.const(k) == CPoly([x * GaussRat(k) for x in a.coeffs])
+            assert CPoly.const(k) * a == a * CPoly.const(k)
 
     def test_scalar_product_with_zero(self):
         p = CPoly([GaussRat(Fraction(1, 2), 3), GaussRat(0), GaussRat(-1, Fraction(2, 3))])
-        assert (p * GaussRat(0)).is_zero() and (p * 0).is_zero()
-        assert (CPoly() * GaussRat(2, -1)).is_zero()
+        assert (p * CPoly.const(GaussRat(0))).is_zero() and (p * CPoly.const(0)).is_zero()
+        assert (CPoly() * CPoly.const(GaussRat(2, -1))).is_zero()
         c = GaussRat(Fraction(-3, 2), Fraction(1, 5))
-        assert p * c == CPoly([x * c for x in p.coeffs])
-        assert (p * c).coeffs[0] == GaussRat(Fraction(-27, 20), Fraction(-22, 5))
+        assert p * CPoly.const(c) == CPoly([x * c for x in p.coeffs])
+        assert (p * CPoly.const(c)).coeffs[0] == GaussRat(Fraction(-27, 20), Fraction(-22, 5))
 
     def test_other_operands_raise_type_error(self):
         p = CPoly([1])
-        for op in (lambda: p + 1, lambda: p - 1, lambda: divmod(p, 1), lambda: p % 1):
+        for op in (lambda: p + 1, lambda: p - 1, lambda: divmod(p, 1), lambda: p % 1,
+                   lambda: p * 2, lambda: 2 * p):
             with pytest.raises(TypeError):
                 op()
 
@@ -208,7 +209,7 @@ class TestZiDivmod:
         s, qr, qi, rr, ri = _zi_divmod(a, b)
         assert s > 0
         assert len(qr) == len(qi) == max(len(a[0]) - len(b[0]) + 1, 0)
-        assert _cp(a) * s == _cp(b) * _cp((qr, qi)) + _cp((rr, ri))
+        assert _cp(a) * CPoly.const(s) == _cp(b) * _cp((qr, qi)) + _cp((rr, ri))
         assert _cp((rr, ri)).degree < _cp(b).degree
 
     @given(zi_polys, zi_divisors, zi_polys)

@@ -77,7 +77,7 @@ class TestStarProduct:
     @given(gapped_hpolys, quats, small_fracs, st.integers(-3, 3))
     def test_scalar_product_matches_quat_products(self, f, c, r, k):
         for s in (c, r, k):
-            assert f * s == HPoly([a * s for a in f.coeffs])
+            assert f * HPoly.const(s) == HPoly([a * s for a in f.coeffs])
 
     def test_lead(self):
         assert PRODUCT_IJ.lead() == Q_ONE
@@ -87,7 +87,8 @@ class TestStarProduct:
 
     def test_other_operands_raise_type_error(self):
         f = HPoly([1])
-        for op in (lambda: f + 1, lambda: f - 1, lambda: divmod(f, 1), lambda: f + CPoly([1])):
+        for op in (lambda: f + 1, lambda: f - 1, lambda: divmod(f, 1), lambda: f + CPoly([1]),
+                   lambda: f * Quat(1)):
             with pytest.raises(TypeError):
                 op()
 

@@ -8,7 +8,7 @@ import pytest
 
 from qcorona import generate
 from qcorona.cpoly import CP_ONE, dot
-from qcorona.polymatrix import det_bareiss, rank_at
+from qcorona.polymatrix import det_bareiss, minor_gcd_certificate, rank_at
 from qcorona.syzygy import build_koszul, certificate_column_order, hat_swap
 
 # (n, degree): the rank-argument minors are 2n x 2n, up to 8 x 8.
@@ -20,7 +20,7 @@ def kernel_dimension_at(pair, z):
     def nullity(m):
         return m.cols - rank_at(m, z)
 
-    return nullity(pair.combined()), nullity(pair.A) + nullity(pair.B)
+    return nullity(pair.combined), nullity(pair.A) + nullity(pair.B)
 
 
 def _pair(n, degree):
@@ -37,7 +37,7 @@ def test_rank_argument_minor_is_minus_p_ell_power_times_a_b_dot_product(n, degre
     cofactor reference.
     """
     pair = _pair(n, degree)
-    stacked = pair.combined()
+    stacked = pair.combined
     k = len(pair.pairs)
     count = 0
     for cols in certificate_column_order(pair):
@@ -65,3 +65,11 @@ def test_pointwise_nullities_of_a_family_without_common_zeros(n, degree):
     pair = _pair(n, degree)
     for z in generate.sample_slice_points(3):
         assert kernel_dimension_at(pair, z) == (4 * n * n - 4 * n, 4 * n * n - 6 * n + 2)
+
+
+@pytest.mark.parametrize("n, degree", [family for family in FAMILIES if family[0] > 1])
+def test_certificate_holds_only_minors_with_a_nonzero_witness(n, degree):
+    pair = _pair(n, degree)
+    cert = minor_gcd_certificate(pair.combined, certificate_column_order(pair))
+    assert cert.minors and all(cert.witnesses)
+    assert cert.verify(pair.combined)
