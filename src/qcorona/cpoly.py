@@ -36,7 +36,9 @@ Z[i][z].  divmod puts the denominators of both operands back around it,
 and ``_zi_exact_div`` is the kernel plus a check that s = 1 and r = 0.
 The coefficient-list helpers ``_zi_mul``, ``_zi_sub`` and
 ``_zi_exact_div`` work on Z[i][z] directly; ``polymatrix.det_bareiss``
-runs its whole elimination on them.
+runs its whole elimination on them.  Right division in H[q] runs on
+divmod too, by the norm b^s = b^c * b of the divisor b on each slice
+component, once ``_drop_low`` has cut off the unused low coefficients.
 """
 
 from __future__ import annotations
@@ -304,12 +306,6 @@ class CPoly:
     def __mod__(self, other: "CPoly") -> "CPoly":
         return divmod(self, other)[1]
 
-    def exact_div(self, other: "CPoly") -> "CPoly":
-        quo, rem = divmod(self, other)
-        if not rem.is_zero():
-            raise ValueError("division is not exact")
-        return quo
-
     def monic(self) -> "CPoly":
         if self.is_zero():
             return self
@@ -357,6 +353,12 @@ def _sum_ints(da: int, a: ZiPoly, db: int, b: ZiPoly, sign: int) -> CPoly:
     re = [sa * x + sb * u for x, u in zip_longest(ar, br, fillvalue=0)]
     im = [sa * y + sb * v for y, v in zip_longest(ai, bi, fillvalue=0)]
     return CPoly._from_ints(d, re, im)
+
+
+def _drop_low(p: CPoly, k: int) -> CPoly:
+    """The polynomial sum_{m >= k} p_m z^(m-k), read off the integer form."""
+    d, re, im = p._ints
+    return CPoly._from_ints(d, re[k:], im[k:])
 
 
 def _mul_add(a: CPoly, b: CPoly, c: CPoly, e: CPoly, sign: int) -> CPoly:

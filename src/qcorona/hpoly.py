@@ -24,11 +24,12 @@ on every read and are not cached.
 
 Because the variable is central and every nonzero coefficient is
 invertible, H[q] has a right division algorithm, which is what divmod on
-an HPoly computes: divmod(a, b) = (q, r) with a = b*q + r, as a loop of
-ring operations on (F, G).  The extended Euclidean algorithm is not
-repeated here: right_bezout runs the one in cpoly (bezout_pair and
-bezout_fold) on HPolys, which yields a monic generator of the right ideal
-of any family together with Bezout witnesses.
+an HPoly computes: divmod(a, b) = (q, r) with a = b*q + r.  The norm
+b^s = b^c * b is real, hence central, so q is the C[z] quotient of
+b^c * a by b^s on F and on G, and r = a - b*q.  The extended Euclidean
+algorithm is not repeated here: right_bezout runs the one in cpoly
+(bezout_pair and bezout_fold) on HPolys, which yields a monic generator
+of the right ideal of any family together with Bezout witnesses.
 
 Zero sets are computed exactly.  A sphere of quaternions with center x and
 squared radius y^2 is identified by the rational pair (x, y^2); isolated
@@ -44,7 +45,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
-from .cpoly import CP_ONE, CP_ZERO, CPoly, _mul_add, bezout_fold
+from .cpoly import CP_ONE, CP_ZERO, CPoly, _drop_low, _mul_add, bezout_fold
 from .scalars import GaussRat, Q_ONE, Q_ZERO, Quat, _frac, rational_sqrt
 
 QuatLike = Union[Quat, Fraction, int]
@@ -141,20 +142,24 @@ class HPoly:
     def __divmod__(self, divisor: "HPoly") -> tuple["HPoly", "HPoly"]:
         """Right division: (Q, R) with self = divisor * Q + R and deg R < deg divisor.
 
-        The variable is central, so divisor * q^k c has leading coefficient
-        lead(divisor) * c; taking c = lead(divisor)^-1 times the leading
-        coefficient of the running remainder cancels it exactly.
+        For b = divisor, b^c * b = b^s is real and central, so
+        b^c * self = b^s * Q + b^c * R with deg(b^c * R) < deg b^s: Q is the
+        quotient of b^c * self by b^s, one C[z] division on F and one on G.
+        Q depends only on the top deg self - deg b + 1 coefficients of self
+        and of b, so the k = max(2 deg b - deg self, 0) lowest of both are
+        dropped first, which keeps b^c * self small when the degrees are close.
         """
         if not isinstance(divisor, HPoly):
             return NotImplemented
         if not divisor:
             raise ZeroDivisionError("polynomial division by zero")
-        lead_inv = divisor.lead().inverse()
-        quo, rem = HPoly(), self
-        while rem.degree >= divisor.degree:
-            term = HPoly([Q_ZERO] * (rem.degree - divisor.degree) + [lead_inv * rem.lead()])
-            quo, rem = quo + term, rem - divisor * term
-        return quo, rem
+        if self.degree < divisor.degree:
+            return HPoly(), self
+        k = max(2 * divisor.degree - self.degree, 0)
+        a, b = (HPoly.from_split(_drop_low(f.F, k), _drop_low(f.G, k)) for f in (self, divisor))
+        num, norm = b.conjugate() * a, b.symmetrize().F
+        quo = HPoly.from_split(divmod(num.F, norm)[0], divmod(num.G, norm)[0])
+        return quo, self - divisor * quo
 
     def conjugate(self) -> "HPoly":
         """Regular conjugate: quaternion-conjugate every coefficient, hat(F) - G j."""
@@ -164,9 +169,6 @@ class HPoly:
         """f * f^c = F hat(F) + G hat(G), a polynomial with real coefficients."""
         F, G = self.F, self.G
         return HPoly.from_split(_mul_add(F, F.hat(), G, G.hat(), 1), CP_ZERO)
-
-    def has_real_coeffs(self) -> bool:
-        return self.F.has_real_coeffs() and not self.G
 
     def split(self) -> tuple[CPoly, CPoly]:
         """Slice components (F, G) with every coefficient a_m = F_m + G_m * j."""
@@ -178,18 +180,6 @@ class HPoly:
         for c in reversed(self.coeffs):
             acc = q * acc + c
         return acc
-
-    def divide_by_real(self, divisor: "HPoly") -> "HPoly":
-        """Exact quotient by a polynomial with real coefficients.
-
-        Real-coefficient polynomials are central for the star product, so the
-        quotient is two-sided; raises ValueError if the division is not exact.
-        """
-        if not divisor.has_real_coeffs():
-            raise ValueError("divisor must have real coefficients")
-        if not divisor:
-            raise ZeroDivisionError("division by zero polynomial")
-        return HPoly.from_split(self.F.exact_div(divisor.F), self.G.exact_div(divisor.F))
 
     def __str__(self):
         terms = []

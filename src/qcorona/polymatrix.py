@@ -221,7 +221,8 @@ class FullRankCertificate:
     minors_examined: int
 
     def combination(self) -> CPoly:
-        return dot(self.witnesses, self.minors)
+        """sum(witness_k * minor_k), zero for a certificate with no minors, which proves nothing."""
+        return dot(self.witnesses, self.minors) if self.minors else CP_ZERO
 
     def verify(self, m: PolyMatrix) -> bool:
         """Recompute every stored minor from m and check the Bezout identity.

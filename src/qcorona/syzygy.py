@@ -167,12 +167,11 @@ def check_three_term(fs: Sequence[HPoly], p: int, r: int, t: int) -> ThreeTermRe
             witness = (idx, lhs - rhs)
             break
 
+    # f_p^s has real coefficients, so it is central and right division by it is two-sided.
+    divided = [divmod(e * s, sym_p)
+               for syz, s in ((syz_pt, sym_r), (syz_pr, sym_t)) for e in syz.entries]
     reduction = None
-    try:
-        first = tuple((e * sym_r).divide_by_real(sym_p) for e in syz_pt.entries)
-        second = tuple((e * sym_t).divide_by_real(sym_p) for e in syz_pr.entries)
-    except ValueError:
-        pass
-    else:
-        reduction = (first, second)
+    if not any(rem for _, rem in divided):
+        quotients = tuple(quo for quo, _ in divided)
+        reduction = (quotients[:len(fs)], quotients[len(fs):])
     return ThreeTermResult(holds, witness, reduction)

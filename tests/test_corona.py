@@ -1,10 +1,11 @@
 import hashlib
 import random
+from fractions import Fraction
 from math import comb
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 import hypothesis.strategies as st
 
 from qcorona import corona, generate
@@ -23,7 +24,7 @@ from qcorona.formats import parse_instance, serialize_solution
 from qcorona.cpoly import CPoly, bezout_multi
 from qcorona.hpoly import HP_ONE, HP_Q, HPoly, real_poly_sphere_factors, right_bezout
 from qcorona.polymatrix import RankObstruction, minor_gcd_certificate
-from qcorona.scalars import Q_I, Q_J, Q_K, Quat
+from qcorona.scalars import Q_I, Q_J, Q_K, Q_ZERO, Quat
 from qcorona.syzygy import build_koszul, certificate_column_order
 
 from conftest import every_maximal_minor, hpolys, nonzero_hpolys, q_minus
@@ -83,11 +84,24 @@ def _sphere_data(real_poly):
 
 class TestRightDivision:
     @settings(max_examples=60)
-    @given(hpolys(5), nonzero_hpolys(3))
+    @given(hpolys(10), nonzero_hpolys(6))
+    @example(HP_Q, SPHERE_I)  # deg f < deg g
+    @example(HPoly(), q_minus(Q_I))  # zero dividend; next, a constant divisor
+    @example(HPoly([Q_ZERO, Quat(1, 2, 0, -1), Quat(Fraction(1, 2), 3)]), HPoly([Quat(0, 2, -1)]))
+    @example(SPHERE_I * q_minus(Q_K), HPoly([1, Q_J]))  # q j + 1, a pure j leading coefficient
+    # The division drops the k = max(2 deg g - deg f, 0) lowest coefficients: k = 1, then k = deg g.
+    @example(HPoly([Q_K, Q_I, 2, Q_J, 1, Quat(1, 1, 1, 1)]), HPoly([1, Q_J, Q_I, Quat(0, 1, 2)]))
+    @example(q_minus(Q_I) * q_minus(Q_J), SPHERE_I * HPoly([Q_J]))
     def test_division_invariant(self, f, g):
         quo, rem = divmod(f, g)
         assert g * quo + rem == f
         assert rem.degree < g.degree
+        if f.degree < g.degree:
+            assert (quo, rem) == (HPoly(), f)
+
+    def test_exact_quotient_by_a_real_polynomial(self):
+        product = q_minus(Q_I) * q_minus(Q_J)
+        assert divmod(product * SPHERE_I, SPHERE_I) == (product, HPoly())
 
     def test_left_factor_divides_exactly(self):
         f = q_minus(Q_I) * q_minus(Q_J)

@@ -320,6 +320,14 @@ class TestSolveFullRank:
         with pytest.raises(CertificateMismatch):
             solve_full_rank(m, [CP_ONE], cert)
 
+    def test_empty_certificate_proves_nothing(self):
+        m = PolyMatrix(1, 2, [CP_Z, ONE_MINUS_Z])
+        empty = FullRankCertificate((), (), (), 0)
+        assert empty.combination().is_zero()
+        assert empty.verify(m) is False
+        with pytest.raises(CertificateMismatch):
+            solve_full_rank(m, [CP_ONE], empty)
+
     @settings(max_examples=25)
     @given(st.lists(cpolys(2), min_size=2, max_size=2))
     def test_random_rhs_on_fixed_system(self, h):

@@ -3,13 +3,22 @@
 import operator
 import random
 from functools import reduce
+from pathlib import Path
 
 import pytest
 
 from qcorona import generate
 from qcorona.cpoly import CP_ONE, dot
+from qcorona.formats import parse_instance
+from qcorona.hpoly import HPoly
 from qcorona.polymatrix import det_bareiss, minor_gcd_certificate, rank_at
-from qcorona.syzygy import build_koszul, certificate_column_order, hat_swap
+from qcorona.syzygy import (
+    build_koszul,
+    certificate_column_order,
+    check_three_term,
+    hat_swap,
+    natural_syzygy,
+)
 
 # (n, degree): the rank-argument minors are 2n x 2n, up to 8 x 8.
 FAMILIES = [(1, 1), (1, 3), (2, 1), (2, 3), (3, 1), (3, 2), (4, 1), (4, 2)]
@@ -73,3 +82,33 @@ def test_certificate_holds_only_minors_with_a_nonzero_witness(n, degree):
     cert = minor_gcd_certificate(pair.combined, certificate_column_order(pair))
     assert cert.minors and all(cert.witnesses)
     assert cert.verify(pair.combined)
+
+
+INSTANCES = Path(__file__).resolve().parents[1] / "instances"
+
+
+def _axis_family(seed):
+    """triple.inst for seed None, else three q - u_l with u_l drawn from the rational axes."""
+    if seed is None:
+        return parse_instance(INSTANCES / "triple.inst").fs
+    rng = random.Random(f"three-term-axes:{seed}")
+    return [HPoly([-rng.choice(generate.RATIONAL_AXES), 1]) for _ in range(3)]
+
+
+@pytest.mark.parametrize("seed", [None, *range(6)])
+def test_three_term_reduction_through_rational_axes_gives_the_natural_syzygy(seed):
+    fs = _axis_family(seed)
+    result = check_three_term(fs, 0, 1, 2)
+    assert result.holds and result.witness is None
+    first, second = result.reduction
+    assert [a - b for a, b in zip(first, second)] == list(natural_syzygy(fs, 1, 2).entries)
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_three_term_holds_without_reduction_on_coprime_families(degree):
+    rng = random.Random(f"three-term:{degree}")
+    for _ in range(4):
+        fs = generate.random_coprime_instance(rng, 3, degree).fs
+        result = check_three_term(fs, 0, 1, 2)
+        assert result.holds
+        assert result.reduction is None
